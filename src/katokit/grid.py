@@ -509,5 +509,8 @@ def load_field(path: str | Path) -> Field:
             f"payload holds {len(raw) - offset} bytes, expected {expected} for {n}^{dim} complex samples"
         )
     samples = np.frombuffer(raw, dtype="<c16", count=n**dim, offset=offset)
+    bad = np.flatnonzero(~np.isfinite(samples))
+    if bad.size:
+        raise FieldFormatError(f"{bad.size} non-finite sample(s), the first at flat index {bad[0]}")
     spec = GridSpec(dim, n, period, tuple(int(b) for b in blocks))
     return Field(spec, samples.reshape(spec.shape).astype(np.complex128))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HypothesisError, ShapeError
 from .grid import (
@@ -147,21 +148,8 @@ def translation_shifts(
     return shifts, weight
 
 
-_BATCH_ELEMENTS = 1 << 22
-
-
-def _rolled_window_stack(window_samples: np.ndarray, shifts: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Stack of tau_{y} chi over index shifts, shape (G, N, .., N)."""
-    n_samp = spec.samples_per_axis
-    base = np.arange(n_samp)
-    index: list[np.ndarray] = []
-    g = shifts.shape[0]
-    for axis in range(spec.dim):
-        idx = (base[None, :] - shifts[:, axis : axis + 1]) % n_samp  # (G, N)
-        shape = [g] + [1] * spec.dim
-        shape[1 + axis] = n_samp
-        index.append(idx.reshape(shape))
-    return window_samples[tuple(index)]
+# One block of windowed spectra: its product, spectrum and magnitudes stay in cache.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def windowed_spectra(field: Field, window: Window, shifts: np.ndarray) -> np.ndarray:
@@ -169,24 +157,34 @@ def windowed_spectra(field: Field, window: Window, shifts: np.ndarray) -> np.nda
     if field.spec != window.spec:
         raise ShapeError("field and window must share a grid")
     spec = field.spec
-    out = np.empty((shifts.shape[0],) + spec.shape, dtype=np.complex128)
-    batch = max(1, _BATCH_ELEMENTS // max(spec.num_points, 1))
-    axes = tuple(range(1, spec.dim + 1))
-    for start in range(0, shifts.shape[0], batch):
-        part = shifts[start : start + batch]
-        stack = _rolled_window_stack(window.field.samples, part, spec)
-        stack = stack * field.samples[None, ...]
-        out[start : start + part.shape[0]] = np.fft.fftn(stack, axes=axes) / spec.num_points
-    return out
+    n_samp = spec.samples_per_axis
+    # tau_y chi is the N^n slice, starting at N - y, of chi tiled to (2N)^n
+    tiled = np.tile(window.field.samples, (2,) * spec.dim)
+    starts = (n_samp - shifts) % n_samp
+    block = sliding_window_view(tiled, spec.shape)[tuple(starts.T)]
+    block *= field.samples
+    np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), out=block)
+    block /= spec.num_points
+    return block
+
+
+def _spectra_blocks(field: Field, window: Window, shifts: np.ndarray):
+    """`windowed_spectra` over consecutive blocks of about _BLOCK_ELEMENTS
+    coefficients, so no caller holds the (G, N, .., N) array at once."""
+    rows = max(1, _BLOCK_ELEMENTS // field.spec.num_points)
+    for start in range(0, shifts.shape[0], rows):
+        yield windowed_spectra(field, window, shifts[start : start + rows])
 
 
 def windowed_norms(field: Field, window: Window, shifts: np.ndarray, order: MultiOrder) -> np.ndarray:
     """||u . tau_y chi||_{H^s} over the shift set."""
     spec = field.spec
     w = weight_mesh(spec, order)
-    coeffs = windowed_spectra(field, window, shifts)
+    axes = tuple(range(1, spec.dim + 1))
+    sq = np.concatenate(
+        [np.sum((w * np.abs(coeffs)) ** 2, axis=axes) for coeffs in _spectra_blocks(field, window, shifts)]
+    )
     vol = spec.period**spec.dim
-    sq = np.sum((w[None, ...] * np.abs(coeffs)) ** 2, axis=tuple(range(1, spec.dim + 1)))
     return np.sqrt(vol * sq)
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import HypothesisError, ShapeError
 from .grid import Field, GridSpec, Window, frequency_mesh, to_spectrum, from_spectrum
-from .kato import ContinuousScheme, LatticeScheme, amalgam_spec, kato_norm, translation_shifts, windowed_spectra
+from .kato import ContinuousScheme, LatticeScheme, _spectra_blocks, amalgam_spec, kato_norm, translation_shifts
 from .sobolev import h_norm
 from .weights import MultiOrder, weight_l1_norm
 
@@ -234,12 +234,17 @@ def sw_norm(u: Field, p: float, window: Window, points_per_axis: int | None = No
         raise HypothesisError(f"p must satisfy p >= 1, got {p}")
     spec = u.spec
     shifts, wt = translation_shifts(spec, ContinuousScheme(points_per_axis))
-    coeffs = windowed_spectra(u, window, shifts)
-    mags = (spec.period**spec.dim) * np.abs(coeffs)
-    if math.isinf(p):
-        profile = np.max(mags, axis=0)
-    else:
-        profile = (wt * np.sum(mags**p, axis=0)) ** (1.0 / p)
+    profile = np.zeros(spec.shape)
+    for coeffs in _spectra_blocks(u, window, shifts):
+        mags = (spec.period**spec.dim) * np.abs(coeffs)
+        if math.isinf(p):
+            np.maximum(profile, np.max(mags, axis=0), out=profile)
+        else:
+            # row by row, in shift order: the same sums as one reduction over all shifts
+            for row in mags**p:
+                profile += row
+    if not math.isinf(p):
+        profile = (wt * profile) ** (1.0 / p)
     return float((2.0 * math.pi / spec.period) ** spec.dim * np.sum(profile))
 
 

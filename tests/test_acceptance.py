@@ -5,8 +5,10 @@ run; under plain ``pytest`` the lines surface only on failure.  Each
 criterion is a separate test so the suite reports them independently.
 """
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -494,11 +496,32 @@ def test_acceptance_6_coordinate_change():
 # 7. reproducibility and exit codes
 
 
+GOLDEN_SEED7 = Path(__file__).with_name("golden_seed7.json")
+
+
+def report_digest(path: Path) -> str:
+    """sha256 of a report file; JSON reports lose their ``environment`` key
+    first, since it names the machine rather than the result."""
+    data = path.read_bytes()
+    if path.suffix == ".json":
+        report = json.loads(data)
+        report.pop("environment", None)
+        data = json.dumps(report, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
+
+
 def test_acceptance_7_reproducibility(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
     rc1 = main(["verify", "all", "--out", str(out1), "--seed", "7"])
     rc2 = main(["verify", "all", "--out", str(out2), "--seed", "7"])
+
+    golden = json.loads(GOLDEN_SEED7.read_text())
+    digests = {p.name: report_digest(p) for p in out1.iterdir()}
+    changed = sorted(
+        name for name in golden["digests"].keys() | digests.keys()
+        if golden["digests"].get(name) != digests.get(name)
+    )
 
     names1 = sorted(p.name for p in out1.iterdir())
     names2 = sorted(p.name for p in out2.iterdir())
@@ -519,11 +542,12 @@ def test_acceptance_7_reproducibility(tmp_path):
         ["verify", "peetre", "--config", str(broken_cfg), "--out", str(tmp_path / "g")]
     )
 
-    ok = identical and rc_fail == 1 and rc_usage == 2
+    ok = identical and not changed and rc_fail == 1 and rc_usage == 2
     _report(
         7,
         "reproducibility",
         ok,
         f"two seeded runs byte-identical over {len(names1)} report files, "
-        f"exit codes 0/{rc_fail}/{rc_usage}",
+        f"golden digests (numpy {golden['numpy']}, this run numpy {np.__version__}) "
+        f"differ on {changed or 'no file'}, exit codes 0/{rc_fail}/{rc_usage}",
     )

@@ -97,6 +97,19 @@ def test_compute_rejects_odd_grid_for_schatten(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["h-norm", "kato-norm"])
+def test_compute_refuses_non_finite_sample(tmp_path, capsys, kind):
+    samples = np.ones(128, dtype=np.complex128)
+    samples[5] = np.nan
+    path = tmp_path / "nan.fld"
+    save_field(field_from_values(make_grid(1, 128), samples), path)
+    rc = main(["compute", kind, "--field", str(path), "--order", "1"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err and "index 5" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -339,6 +339,17 @@ def test_load_rejects_truncated_payload(tmp_path):
         load_field(path)
 
 
+@pytest.mark.parametrize("value", [complex(np.inf, 0.0), complex(0.0, -np.inf), complex(1.0, np.nan)])
+def test_load_rejects_non_finite_sample(tmp_path, value):
+    path = tmp_path / "inf.fld"
+    spec = make_grid(2, 16)
+    samples = np.ones(spec.shape, dtype=np.complex128)
+    samples[3, 4] = value
+    save_field(Field(spec, samples), path)
+    with pytest.raises(FieldFormatError, match="non-finite sample.*index 52"):
+        load_field(path)
+
+
 def test_field_rejects_wrong_shape():
     spec = make_grid(2, 16)
     with pytest.raises(ShapeError):

@@ -27,7 +27,8 @@ from katokit.grid import (
     window_from_samples,
 )
 from katokit.weights import multi_order, sigma_params
-from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio
+from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio, weight_mesh
+from katokit import kato
 from katokit.kato import (
     ContinuousScheme,
     LatticeScheme,
@@ -38,7 +39,10 @@ from katokit.kato import (
     kato_product_check,
     mollifier_rate_check,
     retraction_roundtrip,
+    translation_shifts,
     window_ratio_check,
+    windowed_norms,
+    windowed_spectra,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -122,6 +126,36 @@ def test_amalgam_norm_oracle_2d():
             acc += h_norm(Field(spec, u.samples * rolled), order) ** 2
     want = math.sqrt((spec.period / m) ** 2 * acc)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64)])
+@pytest.mark.parametrize("scheme", [ContinuousScheme(), LatticeScheme(8)])
+def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
+    # shift counts around the block row count, checked against an
+    # independent per-translate loop and against one unblocked spectra call
+    spec = make_grid(dim, n_samp)
+    order = multi_order(1.5, (dim,))
+    chi = default_window(spec)
+    rng = np.random.default_rng(40 + dim)
+    u = field_from_values(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+    all_shifts, _ = translation_shifts(spec, scheme)
+    rows = max(1, kato._BLOCK_ELEMENTS // spec.num_points)
+    axes = tuple(range(dim))
+    w = weight_mesh(spec, order)
+    for g in (1, rows - 1, rows, rows + 1, n_samp):
+        shifts = all_shifts[rng.choice(len(all_shifts), g, replace=g > len(all_shifts))]
+        got = windowed_norms(u, chi, shifts, order)
+        want = [
+            h_norm(Field(spec, np.roll(chi.field.samples, tuple(y), axis=axes) * u.samples), order)
+            for y in shifts
+        ]
+        assert got.shape == (g,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        coeffs = windowed_spectra(u, chi, shifts)
+        unblocked = np.sqrt(
+            spec.period**dim * np.sum((w * np.abs(coeffs)) ** 2, axis=tuple(range(1, dim + 1)))
+        )
+        assert np.array_equal(got, unblocked)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from katokit.grid import (
     plane_wave,
 )
 from katokit.weights import multi_order
-from katokit.kato import ContinuousScheme
+from katokit.kato import ContinuousScheme, translation_shifts, windowed_spectra
 from katokit.psido import (
     GridIsometry,
     all_isometries,
@@ -285,6 +285,26 @@ def test_sw_norm_matches_loop_oracle(p):
     got = sw_norm(u, p, chi, points_per_axis=8)
     want = sw_norm_oracle(u, p, chi, 8)
     assert got == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, math.inf])
+def test_sw_norm_over_several_blocks(p):
+    # the 256 translates of an N = 256 field span two blocks of spectra; the
+    # result must equal one reduction over a single unblocked call, which a
+    # per-block partial sum misses in the last bits for this seed
+    spec = make_grid(1, 256)
+    chi = make_bump(spec, [(1.0, 5.0)], [(2.0, 4.0)])
+    rng = np.random.default_rng(33)
+    u = field_from_values(spec, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    got = sw_norm(u, p, chi)
+    assert got == pytest.approx(sw_norm_oracle(u, p, chi, 256), rel=1e-10)
+    shifts, wt = translation_shifts(spec, ContinuousScheme())
+    mags = spec.period * np.abs(windowed_spectra(u, chi, shifts))
+    if math.isinf(p):
+        profile = np.max(mags, axis=0)
+    else:
+        profile = (wt * np.sum(mags**p, axis=0)) ** (1.0 / p)
+    assert got == float((TWO_PI / spec.period) * np.sum(profile))
 
 
 def test_sw_embedding_ratios_bounded():
