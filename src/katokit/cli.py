@@ -174,6 +174,21 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
+def _stability_case(label: str, first: Sequence[float], last: Sequence[float], rtol: float) -> dict:
+    """Largest per-sample relative drift of the same samples between two resolutions."""
+    drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(first, last))
+    return {"label": label, "max_rel_drift": drift, "verdict": PASS if drift <= rtol else INCONCLUSIVE}
+
+
+def _refusal_case(label: str, error: type[Exception], attempt: Callable[[], object]) -> dict:
+    """PASS when `attempt` raises `error`."""
+    try:
+        attempt()
+    except error:
+        return {"label": label, "verdict": PASS}
+    return {"label": label, "verdict": FAIL}
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -497,15 +512,13 @@ def _suite_lattice_decomposition(cfg: dict, seed: int):
                 "verdict": _verdict(ok),
             }
         )
-    drift = max(
-        abs(a - b) / max(abs(b), 1e-300) for a, b in zip(per_res[0], per_res[-1])
-    )
     cases.append(
-        {
-            "label": "per-sample ratio stability when the same fields are refined",
-            "max_rel_drift": drift,
-            "verdict": PASS if drift <= float(cfg["stability_rtol"]) else INCONCLUSIVE,
-        }
+        _stability_case(
+            "per-sample ratio stability when the same fields are refined",
+            per_res[0],
+            per_res[-1],
+            float(cfg["stability_rtol"]),
+        )
     )
     return cases, {}
 
@@ -569,13 +582,13 @@ def _suite_window_independence(cfg: dict, seed: int):
                     "verdict": PASS if inside else INCONCLUSIVE,
                 }
             )
-    drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(track[0], track[-1]))
     cases.append(
-        {
-            "label": "per-sample window quotient stability under refinement, p=2",
-            "max_rel_drift": drift,
-            "verdict": PASS if drift <= float(cfg["stability_rtol"]) else INCONCLUSIVE,
-        }
+        _stability_case(
+            "per-sample window quotient stability under refinement, p=2",
+            track[0],
+            track[-1],
+            float(cfg["stability_rtol"]),
+        )
     )
     return cases, {}
 
@@ -853,16 +866,12 @@ def _suite_calderon(cfg: dict, seed: int):
         }
     )
 
-    try:
-        ContourSpec(nodes_per_circle=8)
-        misconfig = False
-    except ContourConfigError:
-        misconfig = True
     cases.append(
-        {
-            "label": "under-resolved contour configuration is refused",
-            "verdict": _verdict(misconfig),
-        }
+        _refusal_case(
+            "under-resolved contour configuration is refused",
+            ContourConfigError,
+            lambda: ContourSpec(nodes_per_circle=8),
+        )
     )
 
     rows = []
@@ -917,24 +926,20 @@ def _suite_sw_embedding(cfg: dict, seed: int):
                     "verdict": PASS if finite else INCONCLUSIVE,
                 }
             )
-            try:
-                sw_embedding_check(fields[:1], multi_order(0.5, (1,)), 2.0, chi, chi_tilde)
-                refused = False
-            except HypothesisError:
-                refused = True
             cases.append(
-                {
-                    "label": "non-integrable weight order is refused",
-                    "verdict": _verdict(refused),
-                }
+                _refusal_case(
+                    "non-integrable weight order is refused",
+                    HypothesisError,
+                    lambda: sw_embedding_check(fields[:1], multi_order(0.5, (1,)), 2.0, chi, chi_tilde),
+                )
             )
-    drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(track[0], track[-1]))
     cases.append(
-        {
-            "label": "per-sample majorant quotient stability under refinement, p=2",
-            "max_rel_drift": drift,
-            "verdict": PASS if drift <= float(cfg["stability_rtol"]) else INCONCLUSIVE,
-        }
+        _stability_case(
+            "per-sample majorant quotient stability under refinement, p=2",
+            track[0],
+            track[-1],
+            float(cfg["stability_rtol"]),
+        )
     )
     return cases, {}
 
@@ -968,8 +973,8 @@ def _suite_schatten(cfg: dict, seed: int):
         )
 
         mono_ok = True
-        for sym in families["gaussian"]:
-            op = quantize(sym, 0.5)
+        gaussian_ops = [quantize(sym, 0.5) for sym in families["gaussian"]]
+        for op in gaussian_ops:
             n1 = schatten_norm(op, 1.0)
             n2 = schatten_norm(op, 2.0)
             ninf = schatten_norm(op, math.inf)
@@ -995,11 +1000,10 @@ def _suite_schatten(cfg: dict, seed: int):
                 "verdict": _verdict(id_gap <= 1e-10 * math.sqrt(n_res)),
             }
         )
-        sym0 = families["gaussian"][0]
-        op0 = quantize(sym0, 0.5)
+        op0 = gaussian_ops[0]
         flip = (-np.arange(n_res)) % n_res
         conj = op0.entries[np.ix_(flip, flip)]
-        sv_a = np.sort(np.linalg.svd(op0.entries, compute_uv=False))
+        sv_a = np.sort(op0.singular_values())
         sv_b = np.sort(np.linalg.svd(conj, compute_uv=False))
         sv_gap = float(np.max(np.abs(sv_a - sv_b)) / max(float(sv_a[-1]), 1e-300))
         cases.append(
@@ -1048,13 +1052,13 @@ def _suite_schatten(cfg: dict, seed: int):
                 "verdict": PASS if math.isfinite(rep.max_ratio) else INCONCLUSIVE,
             }
         )
-    drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(bound_track[0], bound_track[-1]))
     cases.append(
-        {
-            "label": "per-symbol trace-class quotient stability on localized symbols",
-            "max_rel_drift": drift,
-            "verdict": PASS if drift <= float(cfg["stability_rtol"]) else INCONCLUSIVE,
-        }
+        _stability_case(
+            "per-symbol trace-class quotient stability on localized symbols",
+            bound_track[0],
+            bound_track[-1],
+            float(cfg["stability_rtol"]),
+        )
     )
 
     n_res = int(cfg["resolutions"][0])
@@ -1098,16 +1102,12 @@ def _suite_coordinate_change(cfg: dict, seed: int):
             "verdict": _verdict(ok),
         }
     ]
-    try:
-        isometry_from_matrix(np.array([[0.8, -0.6], [0.6, 0.8]]))
-        refused = False
-    except HypothesisError:
-        refused = True
     cases.append(
-        {
-            "label": "non-lattice rotation is refused",
-            "verdict": _verdict(refused),
-        }
+        _refusal_case(
+            "non-lattice rotation is refused",
+            HypothesisError,
+            lambda: isometry_from_matrix(np.array([[0.8, -0.6], [0.6, 0.8]])),
+        )
     )
     rot = isometry_from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     mat = np.linalg.matrix_power(rot.matrix(), 4)
@@ -1535,19 +1535,8 @@ def cmd_report(args) -> int:
                     break
             print(f"  - {case.get('verdict', '?'):12s} {case.get('label', '')}{detail}")
     if args.csv:
-        columns = ["suite"]
-        rows = []
-        for report in reports:
-            for case in report.get("cases", []):
-                for key in case:
-                    if key not in columns:
-                        columns.append(key)
-                rows.append((report.get("suite", "?"), case))
-        with Path(args.csv).open("w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for sid, case in rows:
-                writer.writerow([sid] + ["" if case.get(c) is None else case.get(c) for c in columns[1:]])
+        cases = [{"suite": r.get("suite", "?"), **case} for r in reports for case in r.get("cases", [])]
+        _write_cases_csv(Path(args.csv), cases)
     return 1 if worst == FAIL else 0
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FieldFormatError, GridError, ResolutionError, ShapeError
 
@@ -48,6 +49,8 @@ __all__ = [
     "l2_norm",
     "sup_norm",
     "translate",
+    "lattice_shifts",
+    "translates",
     "pointwise_mul",
     "pointwise_apply",
     "smooth_step",
@@ -242,6 +245,30 @@ def translate(field: Field, y: Sequence[float] | float) -> Field:
     mesh = frequency_mesh(spec)
     phase = np.tensordot(yvec, mesh, axes=(0, 0))
     return from_spectrum(spec, to_spectrum(field) * np.exp(-1j * phase))
+
+
+def lattice_shifts(spec: GridSpec, per_axis: int) -> np.ndarray:
+    """Index shifts (G, dim) of the sub-lattice with `per_axis` points per
+    axis, in C order; `per_axis` must be a positive divisor of N."""
+    n_samp = spec.samples_per_axis
+    m = int(per_axis)
+    if m != per_axis or m < 1 or n_samp % m != 0:
+        raise ShapeError(f"{per_axis} lattice points per axis must be a positive divisor of {n_samp} samples per axis")
+    grids = np.meshgrid(*([np.arange(m) * (n_samp // m)] * spec.dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def translates(samples: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """tau_y samples = np.roll(samples, y) for index shifts y.
+
+    Shifts of shape (G, dim) give a new (G, N, .., N) array; one shift of
+    shape (dim,) gives a read-only view of a single translate.
+    """
+    n_samp = samples.shape[0]
+    # tau_y u is the N^n slice, starting at N - y, of u tiled to (2N)^n
+    tiled = np.tile(samples, (2,) * samples.ndim)
+    starts = (n_samp - np.asarray(shifts)) % n_samp
+    return sliding_window_view(tiled, samples.shape)[tuple(starts.T)]
 
 
 def pointwise_mul(f: Field, g: Field) -> Field:

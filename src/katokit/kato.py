@@ -13,13 +13,11 @@ bound for the true sup, which is how it is reported.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import HypothesisError, ShapeError
 from .grid import (
@@ -27,12 +25,13 @@ from .grid import (
     GridSpec,
     Mollifier,
     Window,
-    make_bump,
+    axis_bump_values,
+    coordinate_axes,
+    lattice_shifts,
     mollifier_kernel,
     mollify,
     rescaled,
-    sup_norm,
-    to_spectrum,
+    translates,
     window_from_samples,
 )
 from .sobolev import PartitionOfUnity, h_norm, weight_mesh
@@ -113,14 +112,9 @@ def amalgam_spec(
 
 def lattice_coverage(window: Window, cells_per_axis: int) -> np.ndarray:
     spec = window.spec
-    lam = int(cells_per_axis)
-    if spec.samples_per_axis % lam != 0:
-        raise ShapeError(f"cells_per_axis {lam} must divide samples_per_axis {spec.samples_per_axis}")
-    stride = spec.samples_per_axis // lam
     psi = np.zeros(spec.shape, dtype=float)
-    for gamma in itertools.product(range(lam), repeat=spec.dim):
-        rolled = np.roll(window.field.samples, tuple(g * stride for g in gamma), axis=tuple(range(spec.dim)))
-        psi += np.abs(rolled) ** 2
+    for y in lattice_shifts(spec, cells_per_axis):
+        psi += np.abs(translates(window.field.samples, y)) ** 2
     return psi
 
 
@@ -128,24 +122,13 @@ def translation_shifts(
     spec: GridSpec, scheme: ContinuousScheme | LatticeScheme
 ) -> tuple[np.ndarray, float]:
     """Index shift vectors (G, dim) and the p-sum quadrature weight."""
-    n_samp = spec.samples_per_axis
     if isinstance(scheme, ContinuousScheme):
-        m = scheme.points_per_axis or n_samp
-        if n_samp % m != 0:
-            raise ShapeError(f"translation grid {m} must divide samples_per_axis {n_samp}")
-        stride = n_samp // m
-        weight = (spec.period / m) ** spec.dim
-    elif isinstance(scheme, LatticeScheme):
-        m = scheme.cells_per_axis
-        if n_samp % m != 0:
-            raise ShapeError(f"cells_per_axis {m} must divide samples_per_axis {n_samp}")
-        stride = n_samp // m
-        weight = 1.0
-    else:
-        raise ShapeError(f"unknown scheme {scheme!r}")
-    grids = np.meshgrid(*([np.arange(m) * stride] * spec.dim), indexing="ij")
-    shifts = np.stack([g.ravel() for g in grids], axis=-1)
-    return shifts, weight
+        points = scheme.points_per_axis
+        m = spec.samples_per_axis if points is None else points
+        return lattice_shifts(spec, m), (spec.period / m) ** spec.dim
+    if isinstance(scheme, LatticeScheme):
+        return lattice_shifts(spec, scheme.cells_per_axis), 1.0
+    raise ShapeError(f"unknown scheme {scheme!r}")
 
 
 # One block of windowed spectra: its product, spectrum and magnitudes stay in cache.
@@ -157,11 +140,7 @@ def windowed_spectra(field: Field, window: Window, shifts: np.ndarray) -> np.nda
     if field.spec != window.spec:
         raise ShapeError("field and window must share a grid")
     spec = field.spec
-    n_samp = spec.samples_per_axis
-    # tau_y chi is the N^n slice, starting at N - y, of chi tiled to (2N)^n
-    tiled = np.tile(window.field.samples, (2,) * spec.dim)
-    starts = (n_samp - shifts) % n_samp
-    block = sliding_window_view(tiled, spec.shape)[tuple(starts.T)]
+    block = translates(window.field.samples, shifts)
     block *= field.samples
     np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), out=block)
     block /= spec.num_points
@@ -349,31 +328,17 @@ def make_retraction_window(partition: PartitionOfUnity, margin: float = 0.1) -> 
     if hi - lo >= partition.spec.period:
         raise ShapeError("retraction window does not fit on the torus; reduce the margin")
     spec = partition.spec
-    coords = [np.asarray(c) for c in _cell_coords(spec)]
+    coords = coordinate_axes(spec)
     samples = np.ones(spec.shape, dtype=float)
     for axis in range(spec.dim):
         x = coords[axis]
         center = 0.5 * (lo + hi)
         disp = np.mod(x - center + 0.5 * spec.period, spec.period) - 0.5 * spec.period
-        vals = _plateau_profile(disp + center, lo, hi, plo, phi)
+        vals = axis_bump_values(disp + center, lo, hi, (plo, phi))
         shape = [1] * spec.dim
         shape[axis] = -1
         samples = samples * vals.reshape(shape)
     return window_from_samples(Field(spec, samples), tuple((lo, hi) for _ in range(spec.dim)), "plateau")
-
-
-def _cell_coords(spec: GridSpec) -> list[np.ndarray]:
-    from .grid import coordinate_axes
-
-    return [np.asarray(c) for c in coordinate_axes(spec)]
-
-
-def _plateau_profile(x: np.ndarray, lo: float, hi: float, plo: float, phi: float) -> np.ndarray:
-    from .grid import smooth_step
-
-    rise = smooth_step((x - lo) / (plo - lo))
-    fall = smooth_step((hi - x) / (hi - phi))
-    return np.where((x > lo) & (x < hi), rise * fall, 0.0)
 
 
 @dataclass(frozen=True)
@@ -403,16 +368,12 @@ def retraction_roundtrip(
         raise ShapeError("field and partition must share a grid")
     chi = wide or make_retraction_window(partition)
     spec = field.spec
-    axes = tuple(range(spec.dim))
     master = partition.master.field.samples
-    chi_samples = chi.field.samples
-    pieces: list[np.ndarray] = []
     assembled = np.zeros(spec.shape, dtype=np.complex128)
     norms_p: list[float] = []
-    for shifts in partition.lattice_points():
-        piece = np.roll(master, shifts, axis=axes) * field.samples
-        pieces.append(piece)
-        assembled += np.roll(chi_samples, shifts, axis=axes) * piece
+    for y in lattice_shifts(spec, partition.cells_per_axis):
+        piece = translates(master, y) * field.samples
+        assembled += translates(chi.field.samples, y) * piece
         norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
     arr = np.asarray(norms_p)

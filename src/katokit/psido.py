@@ -25,8 +25,9 @@ Schatten bound is trusted.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +110,6 @@ class OperatorMatrix:
     space_dim: int
     samples_per_axis: int
     period: float
-    _sv_cache: list = dc_field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.complex128)
@@ -126,12 +126,14 @@ class OperatorMatrix:
         tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
 
+    @functools.cached_property
+    def _singular_values(self) -> np.ndarray:
+        sv = np.linalg.svd(self.entries, compute_uv=False)
+        sv.setflags(write=False)
+        return sv
+
     def singular_values(self) -> np.ndarray:
-        if not self._sv_cache:
-            sv = np.linalg.svd(self.entries, compute_uv=False)
-            sv.setflags(write=False)
-            self._sv_cache.append(sv)
-        return self._sv_cache[0]
+        return self._singular_values
 
 
 def operator_from_matrix(

@@ -32,7 +32,9 @@ from .grid import (
     coordinate_axes,
     frequency_axes,
     from_spectrum,
+    lattice_shifts,
     to_spectrum,
+    translates,
 )
 from .weights import MultiOrder
 
@@ -271,8 +273,7 @@ def twisted_periodization(
     n_samp = spec.samples_per_axis
     if lam < 2:
         raise HypothesisError("need at least 2 lattice cells per axis")
-    if n_samp % lam != 0:
-        raise ShapeError(f"cells_per_axis {lam} must divide samples_per_axis {n_samp}")
+    shifts = lattice_shifts(spec, lam)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta_arr.shape != (spec.dim,):
         raise ShapeError(f"theta must have length {spec.dim}")
@@ -283,10 +284,9 @@ def twisted_periodization(
 
     stride = n_samp // lam
     acc = np.zeros(spec.shape, dtype=np.complex128)
-    for gamma in itertools.product(range(lam), repeat=spec.dim):
-        phase = complex(np.exp(1j * float(np.dot(gamma, theta_used))))
-        shifts = tuple(g * stride for g in gamma)
-        acc += phase * np.roll(window.field.samples, shifts, axis=tuple(range(spec.dim)))
+    for y in shifts:
+        phase = complex(np.exp(1j * float(np.dot(y // stride, theta_used))))
+        acc += phase * translates(window.field.samples, y)
     twisted = Field(spec, acc)
 
     coeffs = to_spectrum(twisted)
@@ -347,16 +347,6 @@ class PartitionOfUnity:
     def cell_side(self) -> float:
         return self.spec.period / self.cells_per_axis
 
-    @property
-    def lattice_stride(self) -> int:
-        return self.spec.samples_per_axis // self.cells_per_axis
-
-    def lattice_points(self) -> list[tuple[int, ...]]:
-        """Grid index vectors of the lattice translations on the torus."""
-        stride = self.lattice_stride
-        rng = range(self.cells_per_axis)
-        return [tuple(g * stride for g in gamma) for gamma in itertools.product(rng, repeat=self.spec.dim)]
-
 
 def _axis_master_profile(t: np.ndarray) -> np.ndarray:
     """Per-axis cell bump: support (1/4, 3/4), exactly 1 on [1/3, 2/3]."""
@@ -369,8 +359,7 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10)
     n_samp = spec.samples_per_axis
     if lam < 2:
         raise HypothesisError("need at least 2 lattice cells per axis")
-    if n_samp % lam != 0:
-        raise ShapeError(f"cells_per_axis {lam} must divide samples_per_axis {n_samp}")
+    lattice = lattice_shifts(spec, lam)
     if n_samp // lam < _MIN_SAMPLES_PER_CELL:
         raise PartitionError(
             f"{n_samp // lam} samples per lattice cell; need at least {_MIN_SAMPLES_PER_CELL} "
@@ -431,10 +420,9 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10)
     hi = (_SHIFTS_1D[-1] + 0.75) * ell
     master = Window(Field(spec, master_samples), tuple((lo, hi) for _ in range(spec.dim)), "partition-master")
 
-    stride = n_samp // lam
     master_periodized = np.zeros(spec.shape, dtype=float)
-    for gamma in itertools.product(range(lam), repeat=spec.dim):
-        master_periodized += np.roll(master_samples, tuple(g * stride for g in gamma), axis=tuple(range(spec.dim)))
+    for y in lattice:
+        master_periodized += translates(master_samples, y)
     if float(np.max(np.abs(master_periodized - 1.0))) > tol:
         raise PartitionError("master bump lattice periodization is not 1 within tolerance")
 
@@ -459,8 +447,8 @@ def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order
     base = h_norm(field, order)
     total = 0.0
     master = partition.master.field.samples
-    for shifts in partition.lattice_points():
-        piece = np.roll(master, shifts, axis=tuple(range(field.spec.dim)))
+    for y in lattice_shifts(field.spec, partition.cells_per_axis):
+        piece = translates(master, y)
         total += h_norm(Field(field.spec, piece * field.samples), order) ** 2
     return math.sqrt(total) / max(base, 1e-300)
 

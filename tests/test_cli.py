@@ -110,6 +110,24 @@ def test_compute_refuses_non_finite_sample(tmp_path, capsys, kind):
     assert "non-finite" in captured.err and "index 5" in captured.err
 
 
+@pytest.mark.parametrize(
+    "kind, option, count",
+    [
+        ("sw-norm", "--points-per-axis", "-2"),
+        ("kato-norm", "--points-per-axis", "-2"),
+        ("kato-norm", "--points-per-axis", "0"),
+        ("kato-norm", "--cells", "-4"),
+        ("kato-norm", "--cells", "0"),
+    ],
+)
+def test_compute_refuses_non_positive_lattice_count(constant_path, capsys, kind, option, count):
+    rc = main(["compute", kind, "--field", str(constant_path), option, count])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {count} lattice points per axis must be a positive divisor" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -222,6 +240,24 @@ def test_report_csv_and_epsilon_sweep_monotone(tmp_path, capsys):
         entries.sort(reverse=True)
         errs = [e for _, e in entries]
         assert all(errs[i + 1] <= errs[i] for i in range(len(errs) - 1)), pair
+
+
+def test_report_csv_bytes(tmp_path, capsys):
+    # one row per case, in report order: the suite, then the union of case
+    # keys in first-seen order, blank where a case lacks a key
+    out = tmp_path / "rep"
+    for suite in ("peetre", "spectral-exactness"):
+        assert main(["verify", suite, "--out", str(out), "--seed", "5"]) == 0
+    capsys.readouterr()
+    csv_out = tmp_path / "cases.csv"
+    assert main(["report", str(out), "--csv", str(csv_out)]) == 0
+    (peetre,) = json.loads((out / "peetre.json").read_text())["cases"]
+    exact = json.loads((out / "spectral-exactness.json").read_text())["cases"]
+    want = ["suite,label,max_ratio,verdict,max_err"]
+    want.append(f'peetre,"{peetre["label"]}",{peetre["max_ratio"]!r},{peetre["verdict"]},')
+    want += [f'spectral-exactness,"{c["label"]}",,{c["verdict"]},{c["max_err"]!r}' for c in exact]
+    assert len(want) == 6
+    assert csv_out.read_bytes() == ("\n".join(want) + "\n").encode("ascii")
 
 
 def test_report_malformed_json_names_byte_offset(tmp_path, capsys):

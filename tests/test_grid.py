@@ -5,6 +5,8 @@ FFT-backed claim on small grids is checked against it before anything else
 leans on the spectral round trip.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from katokit.grid import (
     field_from_values,
     frequency_axes,
     from_spectrum,
+    lattice_shifts,
     load_field,
     make_bump,
     make_grid,
@@ -32,6 +35,7 @@ from katokit.grid import (
     smooth_step,
     to_spectrum,
     translate,
+    translates,
 )
 
 
@@ -155,6 +159,55 @@ def test_lattice_translate_2d():
     shifted = translate(u, (3 * spec.spacing, 5 * spec.spacing))
     want = np.roll(u.samples, (3, 5), axis=(0, 1))
     assert np.max(np.abs(shifted.samples - want)) < 1e-12
+
+
+def roll_translates(samples: np.ndarray, per_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: lattice index vectors in itertools.product order, one np.roll each."""
+    stride = samples.shape[0] // per_axis
+    axes = tuple(range(samples.ndim))
+    shifts, rolled = [], []
+    for gamma in itertools.product(range(per_axis), repeat=samples.ndim):
+        y = tuple(g * stride for g in gamma)
+        shifts.append(y)
+        rolled.append(np.roll(samples, y, axis=axes))
+    return np.array(shifts), np.array(rolled)
+
+
+@pytest.mark.parametrize("dim, n_samp, per_axis", [(1, 16, 1), (1, 16, 4), (1, 16, 16), (2, 8, 1), (2, 8, 2), (2, 8, 8)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_lattice_translates_match_roll_loop(dim, n_samp, per_axis, kind):
+    spec = make_grid(dim, n_samp)
+    rng = np.random.default_rng(per_axis)
+    samples = rng.standard_normal(spec.shape)
+    if kind == "complex":
+        samples = samples + 1j * rng.standard_normal(spec.shape)
+    want_shifts, want = roll_translates(samples, per_axis)
+    shifts = lattice_shifts(spec, per_axis)
+    assert shifts.shape == (per_axis**dim, dim)
+    assert np.array_equal(shifts, want_shifts)
+    stack = translates(samples, shifts)
+    assert stack.dtype == samples.dtype and stack.shape == want.shape
+    assert stack.tobytes() == want.tobytes()
+    for y, row in zip(shifts, want):
+        assert translates(samples, y).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("per_axis", [0, -2, 3])
+def test_lattice_shifts_refuse_bad_count(per_axis):
+    with pytest.raises(ShapeError, match=f"^{per_axis} lattice points per axis"):
+        lattice_shifts(make_grid(2, 8), per_axis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(per_axis=st.integers(min_value=-40, max_value=40))
+def test_lattice_shifts_accept_exactly_the_positive_divisors(per_axis):
+    spec = make_grid(1, 24)
+    if per_axis >= 1 and 24 % per_axis == 0:
+        shifts = lattice_shifts(spec, per_axis)
+        assert np.array_equal(shifts[:, 0], np.arange(0, 24, 24 // per_axis))
+    else:
+        with pytest.raises(ShapeError):
+            lattice_shifts(spec, per_axis)
 
 
 @settings(max_examples=25, deadline=None)

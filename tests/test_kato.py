@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from katokit.ensembles import critical_ensemble, realize_ensemble, spectral_ensemble
-from katokit.errors import HypothesisError
+from katokit.errors import HypothesisError, ShapeError
 from katokit.grid import (
     Field,
     constant_field,
@@ -126,6 +126,18 @@ def test_amalgam_norm_oracle_2d():
             acc += h_norm(Field(spec, u.samples * rolled), order) ** 2
     want = math.sqrt((spec.period / m) ** 2 * acc)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [ContinuousScheme(0), ContinuousScheme(-2), ContinuousScheme(12), LatticeScheme(0), LatticeScheme(-4), LatticeScheme(3)],
+)
+def test_translation_shifts_refuse_bad_counts(scheme):
+    spec = make_grid(1, 64)
+    with pytest.raises(ShapeError, match="positive divisor"):
+        translation_shifts(spec, scheme)
+    with pytest.raises(ShapeError, match="positive divisor"):
+        kato_norm(constant_field(spec), amalgam_spec(multi_order(1.0, (1,)), 2.0, default_window(spec), scheme))
 
 
 @pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64)])
