@@ -1233,12 +1233,17 @@ _SUITES: dict[str, Callable[[dict, int], tuple[list, dict]]] = {
 # serialization helpers
 
 
-def _parse_p(raw) -> float:
-    if isinstance(raw, str):
-        if raw.strip().lower() in ("inf", "infinity", "oo"):
-            return math.inf
+def _parse_number(raw, what: str) -> float:
+    try:
         return float(raw)
-    return float(raw)
+    except (TypeError, ValueError):
+        raise _UsageError(f"{what} must be a number, got {raw!r}")
+
+
+def _parse_p(raw, what: str = "p") -> float:
+    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity", "oo"):
+        return math.inf
+    return _parse_number(raw, what)
 
 
 def _fmt_p(p: float) -> str:
@@ -1399,7 +1404,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_interval_list(raw: str, dim: int, what: str) -> list[tuple[float, float]]:
-    parts = [float(v) for v in raw.split(",")]
+    parts = [_parse_number(v, what) for v in raw.split(",")]
     if len(parts) == 2:
         return [(parts[0], parts[1])] * dim
     if len(parts) != 2 * dim:
@@ -1407,14 +1412,40 @@ def _parse_interval_list(raw: str, dim: int, what: str) -> list[tuple[float, flo
     return [(parts[2 * a], parts[2 * a + 1]) for a in range(dim)]
 
 
+# The options each compute kind reads, besides --field and --json.
+_COMPUTE_OPTIONS = {
+    "l2": (),
+    "sup": (),
+    "h-norm": ("order",),
+    "kato-norm": ("order", "p", "points_per_axis", "cells", "window_support", "window_plateau"),
+    "sw-norm": ("p", "points_per_axis", "window_support", "window_plateau"),
+    "schatten": ("p", "tau"),
+}
+
+
+def _check_compute_options(args) -> None:
+    """Refuse an option that the requested kind would silently ignore."""
+    kind = args.kind
+    for name in ("order", "p", "tau", "points_per_axis", "cells", "window_support", "window_plateau"):
+        if getattr(args, name) is not None and name not in _COMPUTE_OPTIONS[kind]:
+            raise _UsageError(f"--{name.replace('_', '-')} does not apply to compute {kind}")
+    if args.points_per_axis is not None and args.cells is not None:
+        raise _UsageError("--points-per-axis does not apply with --cells: the lattice scheme has no translation grid")
+    if args.window_plateau is not None and args.window_support is None:
+        raise _UsageError("--window-plateau does not apply without --window-support")
+
+
 def cmd_compute(args) -> int:
+    _check_compute_options(args)
     field = load_field(args.field)
     spec = field.spec
     kind = args.kind
+    p = _parse_p("2" if args.p is None else args.p, "--p")
+    tau = 0.5 if args.tau is None else args.tau
 
     order = None
     if args.order is not None:
-        values = [float(v) for v in args.order.split(",")]
+        values = [_parse_number(v, "--order") for v in args.order.split(",")]
         if len(values) == 1:
             values = values * len(spec.blocks)
         order = multi_order(values, spec.blocks)
@@ -1436,7 +1467,6 @@ def cmd_compute(args) -> int:
             window = make_bump(spec, support, plateau)
         else:
             window = _default_window(spec)
-        p = _parse_p(args.p)
         if kind == "sw-norm":
             value = sw_norm(field, p, window, args.points_per_axis)
         else:
@@ -1451,7 +1481,7 @@ def cmd_compute(args) -> int:
             raise HypothesisError("schatten needs a symbol field with an even number of axes")
         space_dim = spec.dim // 2
         sym = make_symbol(field, space_dim, multi_order([0.0] * len(spec.blocks), spec.blocks))
-        value = schatten_norm(quantize(sym, args.tau), _parse_p(args.p))
+        value = schatten_norm(quantize(sym, tau), p)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown compute kind {kind!r}")
 
@@ -1463,8 +1493,8 @@ def cmd_compute(args) -> int:
             "value": value,
             "parameters": {
                 "order": None if order is None else list(order.s),
-                "p": _fmt_p(_parse_p(args.p)) if kind in ("kato-norm", "sw-norm", "schatten") else None,
-                "tau": args.tau if kind == "schatten" else None,
+                "p": _fmt_p(p) if "p" in _COMPUTE_OPTIONS[kind] else None,
+                "tau": tau if kind == "schatten" else None,
             },
         }
         _write_json(Path(args.json), payload)
@@ -1553,8 +1583,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     p_compute.add_argument("--field", required=True, help="path to a stored field (FLD1)")
     p_compute.add_argument("--order", help="comma-separated order, one value per block or a single value")
-    p_compute.add_argument("--p", default="2", help="integrability exponent, number or 'inf'")
-    p_compute.add_argument("--tau", type=float, default=0.5, help="quantization parameter for schatten")
+    p_compute.add_argument("--p", help="integrability exponent, number or 'inf' (default 2)")
+    p_compute.add_argument("--tau", type=float, help="quantization parameter for schatten (default 0.5)")
     p_compute.add_argument("--points-per-axis", type=int, default=None, help="translation grid density")
     p_compute.add_argument("--cells", type=int, default=None, help="use the lattice scheme with this many cells per axis")
     p_compute.add_argument("--window-support", help="window support as lo,hi (per axis or shared)")

@@ -34,7 +34,15 @@ import numpy as np
 
 from .errors import HypothesisError, ShapeError
 from .grid import Field, GridSpec, Window, frequency_mesh, to_spectrum, from_spectrum
-from .kato import ContinuousScheme, LatticeScheme, _spectra_blocks, amalgam_spec, kato_norm, translation_shifts
+from .kato import (
+    ContinuousScheme,
+    LatticeScheme,
+    _spectra_blocks,
+    _translation_power,
+    amalgam_spec,
+    kato_norm,
+    translation_shifts,
+)
 from .sobolev import h_norm
 from .weights import MultiOrder, weight_l1_norm
 
@@ -230,21 +238,27 @@ def sw_norm(u: Field, p: float, window: Window, points_per_axis: int | None = No
 
     For each frequency the magnitudes L^n |c_k(u tau_y chi)| are aggregated
     over the translation grid in ell^p (max for p = infinity), then summed
-    over frequencies with the dual cell weight (2 pi / L)^n.
+    over frequencies with the dual cell weight (2 pi / L)^n.  At p = 2 on
+    the full translation grid the profile is (wt L^{2n} P_k)^{1/2} with the
+    translation power spectrum P of `kato._translation_power`,
+    O(N^n log N); every other case transforms the G translates.
     """
     if not (p >= 1.0):
         raise HypothesisError(f"p must satisfy p >= 1, got {p}")
     spec = u.spec
     shifts, wt = translation_shifts(spec, ContinuousScheme(points_per_axis))
-    profile = np.zeros(spec.shape)
-    for coeffs in _spectra_blocks(u, window, shifts):
-        mags = (spec.period**spec.dim) * np.abs(coeffs)
-        if math.isinf(p):
-            np.maximum(profile, np.max(mags, axis=0), out=profile)
-        else:
-            # row by row, in shift order: the same sums as one reduction over all shifts
-            for row in mags**p:
-                profile += row
+    if p == 2.0 and shifts.shape[0] == spec.num_points:
+        profile = spec.period ** (2 * spec.dim) * _translation_power(u, window)
+    else:
+        profile = np.zeros(spec.shape)
+        for coeffs in _spectra_blocks(u, window, shifts):
+            mags = (spec.period**spec.dim) * np.abs(coeffs)
+            if math.isinf(p):
+                np.maximum(profile, np.max(mags, axis=0), out=profile)
+            else:
+                # row by row, in shift order: the same sums as one reduction over all shifts
+                for row in mags**p:
+                    profile += row
     if not math.isinf(p):
         profile = (wt * profile) ** (1.0 / p)
     return float((2.0 * math.pi / spec.period) ** spec.dim * np.sum(profile))

@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from katokit import kato
 from katokit.cli import main
 from katokit.grid import (
     constant_field,
     coordinate_axes,
     field_from_values,
+    from_spectrum,
     make_bump,
     make_grid,
     save_field,
@@ -126,6 +128,75 @@ def test_compute_refuses_non_positive_lattice_count(constant_path, capsys, kind,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {count} lattice points per axis must be a positive divisor" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, options, option",
+    [
+        ("h-norm", ["--order", "abc"], "--order"),
+        ("kato-norm", ["--p", "abc"], "--p"),
+        ("kato-norm", ["--window-support", "1,x"], "--window-support"),
+        ("sw-norm", ["--window-support", "1,5", "--window-plateau", "2,y"], "--window-plateau"),
+    ],
+)
+def test_compute_refuses_malformed_number(constant_path, capsys, kind, options, option):
+    rc = main(["compute", kind, "--field", str(constant_path), *options])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} must be a number" in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, options, option",
+    [
+        ("kato-norm", ["--points-per-axis", "64", "--cells", "4"], "--points-per-axis"),
+        ("sw-norm", ["--cells", "4"], "--cells"),
+        ("h-norm", ["--tau", "0.3"], "--tau"),
+        ("sw-norm", ["--order", "1"], "--order"),
+        ("l2", ["--p", "2"], "--p"),
+        ("kato-norm", ["--window-plateau", "2,4"], "--window-plateau"),
+    ],
+)
+def test_compute_refuses_option_that_does_not_apply(constant_path, capsys, kind, options, option):
+    rc = main(["compute", kind, "--field", str(constant_path), *options])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} does not apply" in captured.err
+
+
+def test_compute_kato_norm_p2_on_2d_n256(tmp_path, capsys, monkeypatch):
+    # 65,536 translates of 65,536 points each took minutes on the physical
+    # route; the full-grid p = 2 route transforms none of them
+    n_samp = 256
+    spec = make_grid(2, n_samp)
+    modes = {(0, 0): 2.0, (3, 0): 0.5 - 0.25j, (-5, 7): 0.3j, (40, -90): 1e-3}
+    coeffs = np.zeros(spec.shape, dtype=np.complex128)
+    for k, a in modes.items():
+        coeffs[k] = a
+    path = tmp_path / "waves.fld"
+    save_field(from_spectrum(spec, coeffs), path)
+
+    def refuse(*args):
+        raise AssertionError("the full-grid p = 2 route transformed a translate")
+
+    monkeypatch.setattr(kato, "windowed_spectra", refuse)
+    rc = main(["compute", "kato-norm", "--field", str(path), "--order", "1", "--p", "2"])
+    assert rc == 0
+    got = float(capsys.readouterr().out)
+
+    # sum_y |c_k(u tau_y chi)|^2 = N^n sum_m |u_m|^2 |chi_{k-m}|^2: for a few
+    # plane waves u_m, a sum of shifted copies of the window power spectrum
+    length = spec.period
+    chi = make_bump(spec, [(length / 8, 7 * length / 8)] * 2, [(length / 3, 2 * length / 3)] * 2)
+    chi_power = np.abs(np.fft.fft2(chi.field.samples) / spec.num_points) ** 2
+    power = sum(abs(a) ** 2 * np.roll(chi_power, k, axis=(0, 1)) for k, a in modes.items())
+    xi = TWO_PI / length * np.fft.fftfreq(n_samp, d=1.0 / n_samp)
+    weight_sq = 1.0 + xi[:, None] ** 2 + xi[None, :] ** 2
+    # quadrature weight (L/N)^2 times L^2 from the spectra, times N^2 from the identity
+    want = math.sqrt((length / n_samp) ** 2 * length**2 * spec.num_points * float(np.sum(weight_sq * power)))
+    assert got == pytest.approx(want, rel=1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,115 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
 
 
 # ---------------------------------------------------------------------------
+# the full-grid p = 2 route: the translation sum as a cyclic convolution
+
+
+def full_grid_loop(u, chi, order):
+    """The p = 2 norm over every sample shift, one h_norm per translate."""
+    spec = u.spec
+    axes = tuple(range(spec.dim))
+    acc = 0.0
+    for y in np.ndindex(*spec.shape):
+        acc += h_norm(Field(spec, np.roll(chi.field.samples, y, axis=axes) * u.samples), order) ** 2
+    return math.sqrt(spec.cell_volume * acc)
+
+
+def smooth_complex_field_2d(spec, seed, kmax=6):
+    """Random complex coefficients (no conjugate symmetry) decaying like 1/(1+|k|^2)."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(spec.shape, dtype=np.complex128)
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            z = rng.standard_normal() + 1j * rng.standard_normal()
+            coeffs[k1, k2] = z / (1.0 + k1 * k1 + k2 * k2)
+    return from_spectrum(spec, coeffs)
+
+
+def off_centre_window(spec):
+    length = spec.period
+    return make_bump(
+        spec,
+        [(0.1 * length, 0.55 * length), (0.35 * length, 0.95 * length)],
+        [(0.2 * length, 0.4 * length), (0.5 * length, 0.8 * length)],
+    )
+
+
+def full_grid_case(name):
+    """(field, window, order) of one full-grid p = 2 test case."""
+    if name == "1d N=1024 complex":
+        # a flat band of 81 modes and order 2: a plain FFT convolution of the
+        # power spectra misses this by 4e-12, so the test pins exactness too
+        spec = make_grid(1, 1024)
+        return rng_field(spec, 71, kmax=40), default_window(spec), multi_order(2.0, (1,))
+    if name == "2d N=32 critical":
+        spec = make_grid(2, 32, blocks=(2,))
+        u = critical_ensemble(72, 1, 2, 10, 1.0)[0].realize(spec)
+        return u, default_window(spec), multi_order(1.0, (2,))
+    if name == "2d N=32 complex, off-centre window, two blocks":
+        spec = make_grid(2, 32, blocks=(1, 1))
+        return smooth_complex_field_2d(spec, 73), off_centre_window(spec), multi_order((0.5, 1.5), (1, 1))
+    raise ValueError(name)
+
+
+FULL_GRID_CASES = ["1d N=1024 complex", "2d N=32 critical", "2d N=32 complex, off-centre window, two blocks"]
+
+
+@pytest.mark.parametrize("name", FULL_GRID_CASES)
+def test_full_grid_p2_matches_translation_loop(name):
+    u, chi, order = full_grid_case(name)
+    got = kato_norm(u, amalgam_spec(order, 2.0, chi, ContinuousScheme()))
+    assert got == pytest.approx(full_grid_loop(u, chi, order), rel=1e-12)
+
+
+@pytest.mark.parametrize("name", FULL_GRID_CASES)
+def test_translation_power_is_accurate_entry_by_entry(name):
+    # every entry of sum_y |c_k(u tau_y chi)|^2 down to 1e-8 of the largest
+    # matches the sum over the physical windowed spectra to 1e-12 relative;
+    # a plain FFT convolution errs by ~eps * max in each entry, up to 4e-9 here
+    u, chi, _ = full_grid_case(name)
+    shifts, _ = translation_shifts(u.spec, ContinuousScheme())
+    want = np.sum(np.abs(windowed_spectra(u, chi, shifts)) ** 2, axis=0)
+    got = kato._translation_power(u, chi)
+    large = want >= 1e-8 * np.max(want)
+    np.testing.assert_allclose(got[large], want[large], rtol=1e-12, atol=0.0)
+    assert np.all(got >= 0.0)
+
+
+def test_full_grid_p2_skips_the_translates(monkeypatch):
+    # ContinuousScheme() and ContinuousScheme(N) are the same full grid and the
+    # same route, which transforms no translate
+    u, chi, order = full_grid_case("2d N=32 critical")
+
+    def refuse(*args):
+        raise AssertionError("the full-grid p = 2 route transformed a translate")
+
+    monkeypatch.setattr(kato, "windowed_spectra", refuse)
+    default = kato_norm(u, amalgam_spec(order, 2.0, chi, ContinuousScheme()))
+    explicit = kato_norm(u, amalgam_spec(order, 2.0, chi, ContinuousScheme(32)))
+    assert default == explicit
+
+
+@pytest.mark.parametrize(
+    "p, scheme",
+    [
+        (1.0, ContinuousScheme()),
+        (math.inf, ContinuousScheme()),
+        (2.0, ContinuousScheme(16)),
+        (2.0, LatticeScheme(4)),
+        (1.0, LatticeScheme(4)),
+    ],
+)
+def test_other_schemes_aggregate_windowed_norms(p, scheme):
+    # every case but p = 2 on the full grid still aggregates the per-translate
+    # norms, bit for bit
+    u, chi, order = full_grid_case("2d N=32 complex, off-centre window, two blocks")
+    shifts, weight = translation_shifts(u.spec, scheme)
+    vals = windowed_norms(u, chi, shifts, order)
+    want = float(np.max(vals)) if math.isinf(p) else float((weight * np.sum(vals**p)) ** (1.0 / p))
+    assert kato_norm(u, amalgam_spec(order, p, chi, scheme)) == want
+
+
+# ---------------------------------------------------------------------------
 # window independence
 
 

@@ -24,6 +24,7 @@ from katokit.grid import (
     plane_wave,
 )
 from katokit.weights import multi_order
+from katokit import kato
 from katokit.kato import ContinuousScheme, translation_shifts, windowed_spectra
 from katokit.psido import (
     GridIsometry,
@@ -305,6 +306,60 @@ def test_sw_norm_over_several_blocks(p):
     else:
         profile = (wt * np.sum(mags**p, axis=0)) ** (1.0 / p)
     assert got == float((TWO_PI / spec.period) * np.sum(profile))
+
+
+def sw_norm_p2_rows(u, window):
+    """The full-grid p = 2 modulation norm reduced row by row from the
+    physical windowed spectra, one translate at a time."""
+    spec = u.spec
+    shifts, wt = translation_shifts(spec, ContinuousScheme())
+    profile = np.zeros(spec.shape)
+    for i in range(len(shifts)):
+        coeffs = windowed_spectra(u, window, shifts[i : i + 1])[0]
+        profile += (spec.period**spec.dim * np.abs(coeffs)) ** 2
+    return float((TWO_PI / spec.period) ** spec.dim * np.sum(np.sqrt(wt * profile)))
+
+
+def complex_band_field(spec, seed, kmax):
+    """Random complex coefficients, no conjugate symmetry, on |k_i| <= kmax."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(spec.shape, dtype=np.complex128)
+    band = np.ix_(*[np.r_[0 : kmax + 1, -kmax:0]] * spec.dim)
+    size = (2 * kmax + 1,) * spec.dim
+    coeffs[band] = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return from_spectrum(spec, coeffs)
+
+
+def sw_full_grid_case(dim):
+    if dim == 1:
+        spec = make_grid(1, 1024)
+        return complex_band_field(spec, 34, 40), make_bump(spec, [(1.0, 5.0)], [(2.0, 4.0)])
+    spec = make_grid(2, 32, blocks=(1, 1))
+    length = spec.period
+    window = make_bump(
+        spec,
+        [(0.1 * length, 0.55 * length), (0.35 * length, 0.95 * length)],
+        [(0.2 * length, 0.4 * length), (0.5 * length, 0.8 * length)],
+    )
+    return complex_band_field(spec, 35, 5), window
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sw_norm_p2_full_grid_matches_row_reduction(dim):
+    # the closed-form profile of the full grid against the physical rows; a
+    # plain FFT convolution of the power spectra misses the 1-D case by 2e-8
+    u, window = sw_full_grid_case(dim)
+    assert sw_norm(u, 2.0, window) == pytest.approx(sw_norm_p2_rows(u, window), rel=1e-12)
+
+
+def test_sw_norm_p2_full_grid_skips_the_translates(monkeypatch):
+    u, window = sw_full_grid_case(2)
+
+    def refuse(*args):
+        raise AssertionError("the full-grid p = 2 route transformed a translate")
+
+    monkeypatch.setattr(kato, "windowed_spectra", refuse)
+    assert sw_norm(u, 2.0, window) == sw_norm(u, 2.0, window, points_per_axis=32)
 
 
 def test_sw_embedding_ratios_bounded():
