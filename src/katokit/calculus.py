@@ -377,14 +377,15 @@ def range_distance(fields: Sequence[Field], domain: Sequence[DomainPart]) -> flo
 
     Entire coordinates contribute +inf; a fully entire domain returns +inf
     (the contour radius is then set from the range diameter instead).
-    Raises when any sample leaves its domain factor.
+    Raises when any sample leaves its domain factor; a non-finite sample
+    lies outside every factor, Entire included.
     """
     if len(fields) != len(domain):
         raise ShapeError("need one domain factor per field")
     values = _stack_values(fields)
     dist = math.inf
     for k, dom in enumerate(domain):
-        ok = dom.contains(values[k])
+        ok = np.isfinite(values[k]) & dom.contains(values[k])
         if not bool(np.all(ok)):
             bad = np.argwhere(~ok)
             preview = [
@@ -431,14 +432,27 @@ class ContourSpec:
     drift_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
+        for name in ("nodes_per_circle", "max_halvings"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContourConfigError(f"{name} must be an integer, got {value!r}")
         if self.nodes_per_circle < 16:
             raise ContourConfigError(f"nodes_per_circle must be >= 16, got {self.nodes_per_circle}")
+        if self.max_halvings < 0:
+            raise ContourConfigError(f"max_halvings must be >= 0, got {self.max_halvings}")
         if not (0.0 < self.radius_factor < 1.0):
             raise ContourConfigError(f"radius_factor must lie in (0, 1), got {self.radius_factor}")
-        if self.contour_radius_in_r <= 0.0:
-            raise ContourConfigError("contour_radius_in_r must be positive")
+        for name in ("contour_radius_in_r", "mollifier_radius"):
+            value = getattr(self, name)
+            if not (0.0 < value < math.inf):
+                raise ContourConfigError(f"{name} must be positive and finite, got {value}")
         if not (0.0 < self.eps_start <= 1.0):
             raise ContourConfigError(f"eps_start must lie in (0, 1], got {self.eps_start}")
+        # an infinite tolerance accepts any finite result (the node sweep uses it)
+        for name in ("tolerance", "drift_tolerance"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ContourConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -460,31 +474,55 @@ class CalderonResult:
 _CHUNK_ELEMENTS = 1 << 19
 
 
-def _contour_sum(
+def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """sum over a_1..a_d of vals[a_1, .., a_d, x] prod_k weights[k][a_k, x],
+    one variable at a time from the last."""
+    for w in reversed(weights):
+        vals = np.einsum("...ax,ax->...x", vals, w)
+    return vals
+
+
+def _contour_sums(
     values: np.ndarray, smoothed: np.ndarray, fn: HoloFn, rho: float, nodes: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid sums of the Cauchy representation with `nodes` and with
+    2 * nodes nodes per circle, from one evaluation of fn at the fine nodes.
+
+    The fine nodes are zeta_a = rho e^{2 pi i a / 2n}, and variable k weighs
+    node a at sample x by W_k[a, x] = (zeta_a / 2n) / (zeta_a + v_k(x) - u_k(x)).
+    The coarse nodes are the even fine nodes, bit for bit, and their weight
+    zeta / n is exactly twice zeta / 2n, so the coarse sum is 2^d times the
+    same contraction over the even sub-tensor.  The (2n)^d node tuples are
+    evaluated in chunks of first-variable rows of (2n)^(d-1) tuples at every
+    sample: at most _CHUNK_ELEMENTS points, or one row where a row is larger.
+    """
     d = values.shape[0]
     flat_u = values.reshape(d, -1)
     flat_v = smoothed.reshape(d, -1)
     npts = flat_u.shape[1]
-    zeta = rho * np.exp(2j * math.pi * np.arange(nodes) / nodes)
-    wts = zeta / nodes
-    recip = np.empty((d, nodes, npts), dtype=np.complex128)
+    fine = 2 * nodes
+    zeta = rho * np.exp(2j * math.pi * np.arange(fine) / fine)
+    weights = np.empty((d, fine, npts), dtype=np.complex128)
     for k in range(d):
-        recip[k] = 1.0 / (zeta[:, None] + flat_v[k][None, :] - flat_u[k][None, :])
-    grids = np.meshgrid(*([np.arange(nodes)] * d), indexing="ij")
-    combos = np.stack([g.ravel() for g in grids])  # (d, nodes^d)
+        poles = zeta[:, None] + flat_v[k][None, :] - flat_u[k][None, :]
+        np.divide((zeta / fine)[:, None], poles, out=weights[k])
+    rows = max(1, _CHUNK_ELEMENTS // (fine ** (d - 1) * npts))
+    coarse = np.zeros(npts, dtype=np.complex128)
     total = np.zeros(npts, dtype=np.complex128)
-    chunk = max(1, _CHUNK_ELEMENTS // max(npts, 1))
-    for start in range(0, combos.shape[1], chunk):
-        part = combos[:, start : start + chunk]  # (d, C)
-        z = flat_v[:, None, :] + zeta[part][:, :, None]  # (d, C, npts)
-        vals = np.asarray(fn.evaluate(z), dtype=np.complex128)
-        weight = np.ones((part.shape[1], npts), dtype=np.complex128)
+    for start in range(0, fine, rows):
+        stop = min(start + rows, fine)
+        z = np.empty((d, stop - start) + (fine,) * (d - 1) + (npts,), dtype=np.complex128)
         for k in range(d):
-            weight *= wts[part[k]][:, None] * recip[k][part[k]]
-        total += np.sum(vals * weight, axis=0)
-    return total.reshape(values.shape[1:])
+            axis = [1] * (d + 1)
+            axis[k] = -1
+            z[k] = flat_v[k] + (zeta[start:stop] if k == 0 else zeta).reshape(axis)
+        vals = np.asarray(fn.evaluate(z), dtype=np.complex128)
+        total += _contract(vals, [weights[0, start:stop], *weights[1:]])
+        first = slice(start % 2, None, 2)  # the rows of even global index
+        even = vals[(first,) + (slice(None, None, 2),) * (d - 1)]
+        coarse += _contract(even, [weights[0, start:stop][first], *weights[1:, ::2]])
+    shape = values.shape[1:]
+    return (2.0**d * coarse).reshape(shape), total.reshape(shape)
 
 
 def calderon_apply(
@@ -570,17 +608,17 @@ def calderon_apply(
         )
 
     nodes = contour.nodes_per_circle
-    h1 = _contour_sum(values, smoothed, fn, rho, nodes)
-    h2 = _contour_sum(values, smoothed, fn, rho, 2 * nodes)
+    h1, h2 = _contour_sums(values, smoothed, fn, rho, nodes)
     drift = float(np.max(np.abs(h2 - h1)))
-    if drift > contour.drift_tolerance:
+    # both gates are written so that a NaN fails them
+    if not drift <= contour.drift_tolerance:
         raise QuadratureError(
             f"node doubling {nodes} -> {2 * nodes} moved the result by {drift:.3g} "
             f"(> {contour.drift_tolerance:.3g}); quadrature not converged"
         )
     direct = np.asarray(fn.evaluate(values), dtype=np.complex128)
     pointwise = float(np.max(np.abs(h2 - direct)))
-    if pointwise > contour.tolerance:
+    if not pointwise <= contour.tolerance:
         raise QuadratureError(
             f"contour result differs from the pointwise evaluation by {pointwise:.3g} "
             f"(> {contour.tolerance:.3g})"

@@ -154,9 +154,7 @@ def windowed_spectra(field: Field, window: Window, shifts: np.ndarray) -> np.nda
     spec = field.spec
     block = translates(window.field.samples, shifts)
     block *= field.samples
-    np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), out=block)
-    block /= spec.num_points
-    return block
+    return np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), norm="forward", out=block)
 
 
 def _spectra_blocks(field: Field, window: Window, shifts: np.ndarray):

@@ -6,16 +6,19 @@ checked against a densely sampled boundary before the bisection route is
 trusted anywhere else.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from katokit.ensembles import positive_field
+from katokit import calculus
 from katokit.errors import (
     ContourConfigError,
     MarginError,
     OutOfDomainError,
+    QuadratureError,
     ShapeError,
 )
 from katokit.grid import (
@@ -151,6 +154,56 @@ def test_contour_rejects_too_few_nodes():
         ContourSpec(nodes_per_circle=8)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tolerance", math.nan),
+        ("drift_tolerance", math.nan),
+        ("tolerance", 0.0),
+        ("drift_tolerance", -1e-9),
+        ("contour_radius_in_r", math.nan),
+        ("contour_radius_in_r", math.inf),
+        ("nodes_per_circle", 16.5),
+        ("max_halvings", -1),
+        ("max_halvings", 2.5),
+        ("mollifier_radius", 0.0),
+        ("mollifier_radius", math.nan),
+        ("radius_factor", math.nan),
+        ("eps_start", math.nan),
+    ],
+)
+def test_contour_spec_refuses_bad_value(field, value):
+    with pytest.raises(ContourConfigError, match=field):
+        ContourSpec(**{field: value})
+
+
+def test_contour_spec_accepts_infinite_tolerances():
+    spec, u = cosine_field()
+    probe = ContourSpec(nodes_per_circle=np.int64(16), tolerance=math.inf, drift_tolerance=math.inf)
+    result = calderon_apply([u], holo_exp(), probe)
+    assert result.nodes_used == 32
+    assert result.drift < 1e-6
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, math.nan)])
+@pytest.mark.parametrize("make_fn", [holo_exp, lambda: holo_reciprocal(0.5)], ids=["entire", "disc-complement"])
+def test_non_finite_sample_is_out_of_domain(bad, make_fn):
+    spec, u = cosine_field()
+    samples = np.array(u.samples, dtype=complex)
+    samples[9] = bad
+    with pytest.raises(OutOfDomainError, match=r"\(9,\)"):
+        calderon_apply([Field(spec, samples)], make_fn())
+
+
+def test_non_finite_contour_values_fail_the_gates():
+    # Phi is NaN on the upper part of every circle but finite on the real
+    # samples, so only the certificates can see it
+    spec, u = cosine_field()
+    fn = HoloFn(1, lambda z: np.where(np.imag(z[0]) > 0.3, np.nan, z[0]), entire_domain(1))
+    with pytest.raises(QuadratureError):
+        calderon_apply([u], fn, ContourSpec(tolerance=math.inf, drift_tolerance=math.inf))
+
+
 def test_margin_failure_when_radius_collapses():
     # pushing the excluded disc against the range leaves no room for the
     # smoothing margin
@@ -163,6 +216,90 @@ def test_arity_mismatch():
     spec, u = cosine_field()
     with pytest.raises(ShapeError):
         calderon_apply([u, u], holo_identity())
+
+
+# ---------------------------------------------------------------------------
+# the node-doubling sums
+
+
+def _holo_exp_times_square() -> HoloFn:
+    return HoloFn(2, lambda z: np.exp(z[0]) * z[1] ** 2, entire_domain(2))
+
+
+def _doubling_case(d: int):
+    """Fields u, a smoothed proxy v, and Phi: d = 1 on 64 samples, d = 2 on 16 x 16."""
+    if d == 1:
+        spec = make_grid(1, 64)
+        fn = holo_exp()
+    else:
+        spec = make_grid(2, 16, blocks=(2,))
+        fn = _holo_exp_times_square()
+    values = np.stack([positive_field(spec, seed=20 + k, kmax=3).samples for k in range(d)]).astype(complex)
+    x = np.asarray(coordinate_axes(spec)[0])
+    smoothed = values + 0.05 * np.exp(1j * x)
+    return values, smoothed, fn
+
+
+def _trapezoid_by_node_tuple(values, smoothed, fn, rho, nodes):
+    """The d-fold trapezoid sum over every node tuple, one tuple at a time."""
+    d = values.shape[0]
+    u = values.reshape(d, -1)
+    v = smoothed.reshape(d, -1)
+    zeta = [rho * np.exp(2j * math.pi * a / nodes) for a in range(nodes)]
+    total = np.zeros(u.shape[1], dtype=complex)
+    for tup in itertools.product(range(nodes), repeat=d):
+        z = np.stack([v[k] + zeta[a] for k, a in enumerate(tup)])
+        weight = np.ones(u.shape[1], dtype=complex)
+        for k, a in enumerate(tup):
+            weight = weight * (zeta[a] / nodes) / (zeta[a] + v[k] - u[k])
+        total += fn.evaluate(z) * weight
+    return total.reshape(values.shape[1:])
+
+
+@pytest.mark.parametrize("d, nodes", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("rows", [None, 3])
+def test_contour_sums_match_node_tuple_loop(monkeypatch, d, nodes, rows):
+    # rows=3 splits the first variable's 2n nodes into chunks of three rows,
+    # so every other chunk starts on an odd node
+    values, smoothed, fn = _doubling_case(d)
+    if rows is not None:
+        npts = values[0].size
+        monkeypatch.setattr(calculus, "_CHUNK_ELEMENTS", rows * (2 * nodes) ** (d - 1) * npts)
+    coarse, fine = calculus._contour_sums(values, smoothed, fn, 0.5, nodes)
+    for got, count in ((coarse, nodes), (fine, 2 * nodes)):
+        want = _trapezoid_by_node_tuple(values, smoothed, fn, 0.5, count)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_contour_evaluates_the_fine_grid_once(d):
+    spec = make_grid(1, 64) if d == 1 else make_grid(2, 32, blocks=(2,))
+    fields = [positive_field(spec, seed=30 + k, kmax=3) for k in range(d)]
+    inner = holo_exp() if d == 1 else holo_product2()
+    sizes = []
+
+    def spy(z):
+        sizes.append(z[0].size)
+        return inner.evaluate(z)
+
+    fn = HoloFn(d, spy, inner.domain)
+    nodes = ContourSpec().nodes_per_circle
+    result = calderon_apply(fields, fn)
+    npts = spec.num_points
+    # the contour chunks, then the pointwise check on the samples themselves
+    assert sum(sizes[:-1]) == (2 * nodes) ** d * npts
+    assert sizes[-1] == npts
+    assert max(sizes) <= max(calculus._CHUNK_ELEMENTS, (2 * nodes) ** (d - 1) * npts)
+    assert result.nodes_used == 2 * nodes
+
+
+def test_drift_gate_compares_the_doubled_sums():
+    spec, u = cosine_field()
+    result = calderon_apply([u], holo_exp())
+    assert result.nodes_used == 128
+    assert 0.0 < result.drift <= ContourSpec().drift_tolerance
+    with pytest.raises(QuadratureError, match="node doubling 64 -> 128"):
+        calderon_apply([u], holo_exp(), ContourSpec(drift_tolerance=0.5 * result.drift))
 
 
 # ---------------------------------------------------------------------------
