@@ -20,12 +20,13 @@ Three subcommands:
 
 Exit codes: 0 when every case is PASS or INCONCLUSIVE, 1 when any case
 FAILs, 2 for usage errors, malformed configuration, or configurations that
-violate a hypothesis of the requested check.
+violate a hypothesis of the requested check.  ``verify`` runs the suites in
+order and writes each suite's files as soon as it finishes; a suite that
+raises a ``KatokitError`` is named under ``errors`` in ``summary.json``,
+the remaining suites still run, and the exit code is 2.
 
 Reports are byte-reproducible for a fixed seed and configuration except
-for the ``environment`` key.  Set ``KATOKIT_THREADS`` to run independent
-suites of ``verify all`` concurrently; results and bytes do not depend on
-the thread count.
+for the ``environment`` key.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import platform
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -148,10 +147,6 @@ def _child(seed: int, index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def _stable(a: float, b: float, rtol: float) -> bool:
-    return abs(a - b) <= rtol * max(abs(a), abs(b), 1e-300)
-
-
 def _default_window(spec: GridSpec):
     length = spec.period
     return make_bump(
@@ -174,10 +169,15 @@ def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
 
 
+def _case(label: str, verdict: str, **values) -> dict:
+    """One report case; its keys, in this order, are the CSV columns."""
+    return {"label": label, **values, "verdict": verdict}
+
+
 def _stability_case(label: str, first: Sequence[float], last: Sequence[float], rtol: float) -> dict:
     """Largest per-sample relative drift of the same samples between two resolutions."""
     drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(first, last))
-    return {"label": label, "max_rel_drift": drift, "verdict": PASS if drift <= rtol else INCONCLUSIVE}
+    return _case(label, PASS if drift <= rtol else INCONCLUSIVE, max_rel_drift=drift)
 
 
 def _refusal_case(label: str, error: type[Exception], attempt: Callable[[], object]) -> dict:
@@ -185,8 +185,21 @@ def _refusal_case(label: str, error: type[Exception], attempt: Callable[[], obje
     try:
         attempt()
     except error:
-        return {"label": label, "verdict": PASS}
-    return {"label": label, "verdict": FAIL}
+        return _case(label, PASS)
+    return _case(label, FAIL)
+
+
+def _contour_case(label: str, res) -> dict:
+    """PASS when a contour value matches Phi pointwise and its node-doubling drift is small."""
+    verdict = _verdict(res.pointwise_error <= 1e-8 and res.drift <= 1e-9)
+    return _case(label, verdict, pointwise_error=res.pointwise_error, drift=res.drift)
+
+
+def _partition_bracket(part, order) -> tuple[float, float]:
+    """Bracket of the lattice localization quotient: cells^(-1/2) and cells^(1/2) times the master constant."""
+    cells_total = part.cells_per_axis**part.spec.dim
+    c_master = window_multiplier_constant(part.master.field, order)
+    return cells_total**-0.5, cells_total**0.5 * c_master
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +214,8 @@ def _suite_peetre(cfg: dict, seed: int):
         order_bound=float(cfg["order_bound"]),
         scale=float(cfg["scale"]),
     )
-    cases = [
-        {
-            "label": f"randomized two-sided quotient, {rep.samples} draws",
-            "max_ratio": rep.max_ratio,
-            "verdict": _verdict(rep.passed),
-        }
-    ]
-    return cases, {}
+    label = f"randomized two-sided quotient, {rep.samples} draws"
+    return [_case(label, _verdict(rep.passed), max_ratio=rep.max_ratio)], {}
 
 
 def _suite_weight_conv(cfg: dict, seed: int):
@@ -227,14 +234,8 @@ def _suite_weight_conv(cfg: dict, seed: int):
             step=float(cfg["step"]),
             probes_per_block=int(cfg["probes_per_block"]),
         )
-        cases.append(
-            {
-                "label": f"s={list(s)} t={list(t)} eps={list(eps)} blocks={list(blocks)}",
-                "max_ratio": rep.max_ratio,
-                "tail_fraction": rep.tail_fraction,
-                "verdict": rep.verdict,
-            }
-        )
+        label = f"s={list(s)} t={list(t)} eps={list(eps)} blocks={list(blocks)}"
+        cases.append(_case(label, rep.verdict, max_ratio=rep.max_ratio, tail_fraction=rep.tail_fraction))
     return cases, {}
 
 
@@ -256,20 +257,8 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
         worst_w = max(worst_w, float(np.max(np.abs(got.samples - expect * pw.samples))))
         dgot = spectral_derivative(pw, 0)
         worst_d = max(worst_d, float(np.max(np.abs(dgot.samples - 1j * xi * pw.samples))))
-    cases.append(
-        {
-            "label": "weight multiplier on plane waves, one axis",
-            "max_err": worst_w,
-            "verdict": _verdict(worst_w <= tol),
-        }
-    )
-    cases.append(
-        {
-            "label": "spectral derivative on plane waves, one axis",
-            "max_err": worst_d,
-            "verdict": _verdict(worst_d <= tol),
-        }
-    )
+    cases.append(_case("weight multiplier on plane waves, one axis", _verdict(worst_w <= tol), max_err=worst_w))
+    cases.append(_case("spectral derivative on plane waves, one axis", _verdict(worst_d <= tol), max_err=worst_d))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
     order2 = multi_order((0.7, -1.1), (1, 1))
@@ -283,13 +272,8 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
             expect *= (1.0 + xi * xi) ** (order2.s[axis] / 2.0)
         got = bessel_apply(pw, order2)
         worst2 = max(worst2, float(np.max(np.abs(got.samples - expect * pw.samples))))
-    cases.append(
-        {
-            "label": "split-order weight multiplier on plane waves, two blocks",
-            "max_err": worst2,
-            "verdict": _verdict(worst2 <= tol),
-        }
-    )
+    label = "split-order weight multiplier on plane waves, two blocks"
+    cases.append(_case(label, _verdict(worst2 <= tol), max_err=worst2))
 
     n_op = 32
     period = self_dual_period(n_op)
@@ -310,13 +294,8 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
             xi = scale_op * k
             eig = (1.0 + xi * xi) ** -1.0
             worst_q = max(worst_q, float(np.max(np.abs(out - eig * vec))))
-    cases.append(
-        {
-            "label": "quantized frequency multiplier on plane waves, all tau",
-            "max_err": worst_q,
-            "verdict": _verdict(worst_q <= tol),
-        }
-    )
+    label = "quantized frequency multiplier on plane waves, all tau"
+    cases.append(_case(label, _verdict(worst_q <= tol), max_err=worst_q))
     return cases, {}
 
 
@@ -335,13 +314,7 @@ def _suite_exact_identities(cfg: dict, seed: int):
         rep = derivative_split_check(u, order, 0, tol=tol)
         worst = max(worst, rep.rel_err)
         ok = ok and rep.passed
-    cases.append(
-        {
-            "label": "derivative norm split, single block",
-            "max_rel_err": worst,
-            "verdict": _verdict(ok),
-        }
-    )
+    cases.append(_case("derivative norm split, single block", _verdict(ok), max_rel_err=worst))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
     fields2 = realize_ensemble(spectral_ensemble(_child(seed, 1), max(2, count // 2), 2, kmax=8), spec2)
@@ -353,23 +326,12 @@ def _suite_exact_identities(cfg: dict, seed: int):
             rep = derivative_split_check(u, order2, block, tol=tol)
             worst2 = max(worst2, rep.rel_err)
             ok2 = ok2 and rep.passed
-    cases.append(
-        {
-            "label": "derivative norm split, both blocks of a split grid",
-            "max_rel_err": worst2,
-            "verdict": _verdict(ok2),
-        }
-    )
+    cases.append(_case("derivative norm split, both blocks of a split grid", _verdict(ok2), max_rel_err=worst2))
 
     part = build_partition(spec, 4)
     rep = retraction_roundtrip(fields[0], part, order, tol=tol)
-    cases.append(
-        {
-            "label": "partition retraction round trip",
-            "roundtrip_sup_err": rep.roundtrip_sup_err,
-            "verdict": _verdict(rep.passed),
-        }
-    )
+    label = "partition retraction round trip"
+    cases.append(_case(label, _verdict(rep.passed), roundtrip_sup_err=rep.roundtrip_sup_err))
 
     n_op = 16
     period = self_dual_period(n_op)
@@ -379,13 +341,8 @@ def _suite_exact_identities(cfg: dict, seed: int):
     for sym in syms:
         for tau in (0.0, 0.5, 1.0):
             worst_hs = max(worst_hs, hs_identity_gap(sym, tau))
-    cases.append(
-        {
-            "label": "Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau",
-            "max_gap": worst_hs,
-            "verdict": _verdict(worst_hs <= hs_tol),
-        }
-    )
+    label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau"
+    cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
 
     n_op2 = 12
     period2 = self_dual_period(n_op2)
@@ -395,13 +352,8 @@ def _suite_exact_identities(cfg: dict, seed: int):
     worst_hs2 = 0.0
     for sym in syms2:
         worst_hs2 = max(worst_hs2, hs_identity_gap(sym, tau_mat))
-    cases.append(
-        {
-            "label": "Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau",
-            "max_gap": worst_hs2,
-            "verdict": _verdict(worst_hs2 <= hs_tol),
-        }
-    )
+    label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau"
+    cases.append(_case(label, _verdict(worst_hs2 <= hs_tol), max_gap=worst_hs2))
     return cases, {}
 
 
@@ -423,14 +375,7 @@ def _suite_window_bound(cfg: dict, seed: int):
             worst = max(worst, rep.ratio)
             const = rep.constant
             ok = ok and rep.passed
-        cases.append(
-            {
-                "label": f"{mode} multiplier bound over {count} fields",
-                "max_ratio": worst,
-                "constant": const,
-                "verdict": _verdict(ok),
-            }
-        )
+        cases.append(_case(f"{mode} multiplier bound over {count} fields", _verdict(ok), max_ratio=worst, constant=const))
     return cases, {}
 
 
@@ -448,15 +393,8 @@ def _suite_sobolev_product(cfg: dict, seed: int):
         worst = max(worst, rep.ratio)
         const = rep.constant
         ok = ok and rep.passed
-    cases = [
-        {
-            "label": f"pairwise product bound over {count} pairs, s=t=1",
-            "max_ratio": worst,
-            "constant": const,
-            "verdict": _verdict(ok),
-        }
-    ]
-    return cases, {}
+    label = f"pairwise product bound over {count} pairs, s=t=1"
+    return [_case(label, _verdict(ok), max_ratio=worst, constant=const)], {}
 
 
 def _suite_twisted_periodization(cfg: dict, seed: int):
@@ -473,13 +411,13 @@ def _suite_twisted_periodization(cfg: dict, seed: int):
     ):
         rep = twisted_periodization(window, [theta], cells_per_axis=cells)
         cases.append(
-            {
-                "label": label,
-                "theta_offset": rep.theta_offset,
-                "off_coset_mass": rep.off_coset_mass,
-                "on_coset_max_rel_err": rep.on_coset_max_rel_err,
-                "verdict": _verdict(rep.passed),
-            }
+            _case(
+                label,
+                _verdict(rep.passed),
+                theta_offset=rep.theta_offset,
+                off_coset_mass=rep.off_coset_mass,
+                on_coset_max_rel_err=rep.on_coset_max_rel_err,
+            )
         )
     return cases, {}
 
@@ -496,30 +434,13 @@ def _suite_lattice_decomposition(cfg: dict, seed: int):
         part = build_partition(spec, cells)
         fields = realize_ensemble(samples, spec)
         ratios = [lattice_decomposition_ratio(u, part, order) for u in fields]
-        c_master = window_multiplier_constant(part.master.field, order)
-        cells_total = cells**spec.dim
-        lower = cells_total**-0.5
-        upper = cells_total**0.5 * c_master
+        lower, upper = _partition_bracket(part, order)
         ok = all(lower * (1.0 - 1e-9) <= r <= upper * (1.0 + 1e-9) for r in ratios)
         per_res.append(ratios)
-        cases.append(
-            {
-                "label": f"two-sided bracket at {n_res} samples, {count} fields",
-                "min_ratio": min(ratios),
-                "max_ratio": max(ratios),
-                "lower": lower,
-                "upper": upper,
-                "verdict": _verdict(ok),
-            }
-        )
-    cases.append(
-        _stability_case(
-            "per-sample ratio stability when the same fields are refined",
-            per_res[0],
-            per_res[-1],
-            float(cfg["stability_rtol"]),
-        )
-    )
+        label = f"two-sided bracket at {n_res} samples, {count} fields"
+        cases.append(_case(label, _verdict(ok), min_ratio=min(ratios), max_ratio=max(ratios), lower=lower, upper=upper))
+    label = "per-sample ratio stability when the same fields are refined"
+    cases.append(_stability_case(label, per_res[0], per_res[-1], float(cfg["stability_rtol"])))
     return cases, {}
 
 
@@ -533,10 +454,7 @@ def _suite_h_equals_k2(cfg: dict, seed: int):
         spec = make_grid(1, int(n_res))
         part = build_partition(spec, cells)
         fields = realize_ensemble(spectral_ensemble(_child(seed, int(n_res)), count, 1, kmax=20), spec)
-        c_master = window_multiplier_constant(part.master.field, order)
-        cells_total = cells**spec.dim
-        lower = cells_total**-0.5
-        upper = cells_total**0.5 * c_master
+        lower, upper = _partition_bracket(part, order)
         worst_gap = 0.0
         bracket_ok = True
         for u in fields:
@@ -544,15 +462,9 @@ def _suite_h_equals_k2(cfg: dict, seed: int):
             via_partition = lattice_decomposition_ratio(u, order=order, partition=part)
             worst_gap = max(worst_gap, abs(via_amalgam - via_partition) / max(via_partition, 1e-300))
             bracket_ok = bracket_ok and lower * (1.0 - 1e-9) <= via_amalgam <= upper * (1.0 + 1e-9)
-        cases.append(
-            {
-                "label": f"amalgam route equals partition route at {n_res} samples",
-                "max_rel_gap": worst_gap,
-                "lower": lower,
-                "upper": upper,
-                "verdict": _verdict(worst_gap <= agreement_tol and bracket_ok),
-            }
-        )
+        label = f"amalgam route equals partition route at {n_res} samples"
+        verdict = _verdict(worst_gap <= agreement_tol and bracket_ok)
+        cases.append(_case(label, verdict, max_rel_gap=worst_gap, lower=lower, upper=upper))
     return cases, {}
 
 
@@ -574,22 +486,11 @@ def _suite_window_independence(cfg: dict, seed: int):
             inside = lo_br <= rep.min_ratio and rep.max_ratio <= hi_br
             if p == 2.0:
                 track.append(rep.ratios)
-            cases.append(
-                {
-                    "label": f"window quotient bracket, p={_fmt_p(p)}, {n_res} samples",
-                    "min_ratio": rep.min_ratio,
-                    "max_ratio": rep.max_ratio,
-                    "verdict": PASS if inside else INCONCLUSIVE,
-                }
-            )
-    cases.append(
-        _stability_case(
-            "per-sample window quotient stability under refinement, p=2",
-            track[0],
-            track[-1],
-            float(cfg["stability_rtol"]),
-        )
-    )
+            label = f"window quotient bracket, p={_fmt_p(p)}, {n_res} samples"
+            verdict = PASS if inside else INCONCLUSIVE
+            cases.append(_case(label, verdict, min_ratio=rep.min_ratio, max_ratio=rep.max_ratio))
+    label = "per-sample window quotient stability under refinement, p=2"
+    cases.append(_stability_case(label, track[0], track[-1], float(cfg["stability_rtol"])))
     return cases, {}
 
 
@@ -608,14 +509,8 @@ def _suite_embedding_chain(cfg: dict, seed: int):
         p_ok = p_ok and rep.p_chain_ok
         o_ok = o_ok and rep.order_chain_ok
     cases = [
-        {
-            "label": f"norms decrease along p over {count} fields",
-            "verdict": _verdict(p_ok),
-        },
-        {
-            "label": "norms decrease when the order drops",
-            "verdict": _verdict(o_ok),
-        },
+        _case(f"norms decrease along p over {count} fields", _verdict(p_ok)),
+        _case("norms decrease when the order drops", _verdict(o_ok)),
     ]
     order_sup = multi_order(0.75, (1,))
     worst = 0.0
@@ -625,13 +520,7 @@ def _suite_embedding_chain(cfg: dict, seed: int):
         ratio_chain = rep.sup <= rep.spectral_l1 * (1.0 + 1e-12) and rep.spectral_l1 <= rep.weighted_bound * (1.0 + 1e-12)
         sup_ok = sup_ok and rep.passed and ratio_chain
         worst = max(worst, rep.sup / max(rep.weighted_bound, 1e-300))
-    cases.append(
-        {
-            "label": "sup norm through the spectrum bound, s=3/4",
-            "max_ratio": worst,
-            "verdict": _verdict(sup_ok),
-        }
-    )
+    cases.append(_case("sup norm through the spectrum bound, s=3/4", _verdict(sup_ok), max_ratio=worst))
     return cases, {}
 
 
@@ -643,16 +532,9 @@ def _suite_kato_product(cfg: dict, seed: int):
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
     window = _default_window(spec)
     rep = kato_product_check(list(zip(us, vs)), params, 2.0, 2.0, window)
-    slack = float(cfg["slack"])
-    cases = [
-        {
-            "label": f"windowed product bound over {count} pairs, p=q=2",
-            "max_ratio": rep.max_ratio,
-            "reference_constant": rep.reference_constant,
-            "verdict": _verdict(rep.max_ratio <= rep.reference_constant * slack),
-        }
-    ]
-    return cases, {}
+    verdict = _verdict(rep.max_ratio <= rep.reference_constant * float(cfg["slack"]))
+    label = f"windowed product bound over {count} pairs, p=q=2"
+    return [_case(label, verdict, max_ratio=rep.max_ratio, reference_constant=rep.reference_constant)], {}
 
 
 def _suite_retraction(cfg: dict, seed: int):
@@ -673,14 +555,8 @@ def _suite_retraction(cfg: dict, seed: int):
             worst = max(worst, rep.roundtrip_sup_err)
             ratio = max(ratio, rep.section_norm / max(rep.reference_norm, 1e-300))
             ok = ok and rep.passed
-        cases.append(
-            {
-                "label": f"section reassembly at {n_res} samples, {count} fields",
-                "max_roundtrip_sup_err": worst,
-                "max_section_ratio": ratio,
-                "verdict": _verdict(ok),
-            }
-        )
+        label = f"section reassembly at {n_res} samples, {count} fields"
+        cases.append(_case(label, _verdict(ok), max_roundtrip_sup_err=worst, max_section_ratio=ratio))
     return cases, {}
 
 
@@ -723,148 +599,64 @@ def _suite_mollifier_rate(cfg: dict, seed: int):
                 for e, err, bnd in zip(rep.epsilons, rep.errors, rep.bounds):
                     rows.append([f"{s:g}->{sp:g}", e, err, bnd])
         slope_med = float(np.median(slopes))
-        cases.append(
-            {
-                "label": f"two-power bound and Young contraction, orders {s:g}->{sp:g}",
-                "verdict": _verdict(bound_ok and young_ok),
-            }
-        )
-        cases.append(
-            {
-                "label": f"realized rate on critically regular fields, orders {s:g}->{sp:g}",
-                "median_slope": slope_med,
-                "slope_target": target,
-                "verdict": PASS if abs(slope_med - target) <= slope_tol else INCONCLUSIVE,
-            }
-        )
+        label = f"two-power bound and Young contraction, orders {s:g}->{sp:g}"
+        cases.append(_case(label, _verdict(bound_ok and young_ok)))
+        label = f"realized rate on critically regular fields, orders {s:g}->{sp:g}"
+        verdict = PASS if abs(slope_med - target) <= slope_tol else INCONCLUSIVE
+        cases.append(_case(label, verdict, median_slope=slope_med, slope_target=target))
     plots = {"mollifier-rate-sweep.csv": (["pair", "epsilon", "error", "bound"], rows)}
     return cases, plots
 
 
 def _suite_calderon(cfg: dict, seed: int):
-    cases = []
     spec = make_grid(1, int(cfg["samples_per_axis"]))
     x = coordinate_axes(spec)[0]
     u0 = field_from_values(spec, 2.0 + np.cos(x))
     us = positive_field(spec, _child(seed, 0))
 
-    res = calderon_apply([u0], holo_identity())
-    cases.append(
-        {
-            "label": "identity reproduced through the contour",
-            "pointwise_error": res.pointwise_error,
-            "drift": res.drift,
-            "verdict": _verdict(res.pointwise_error <= 1e-8 and res.drift <= 1e-9),
-        }
-    )
-    res = calderon_apply([us], holo_square())
-    cases.append(
-        {
-            "label": "square of a seeded positive field",
-            "pointwise_error": res.pointwise_error,
-            "drift": res.drift,
-            "verdict": _verdict(res.pointwise_error <= 1e-8 and res.drift <= 1e-9),
-        }
-    )
-    res = calderon_apply([u0], holo_exp())
-    cases.append(
-        {
-            "label": "exponential of a cosine profile",
-            "pointwise_error": res.pointwise_error,
-            "drift": res.drift,
-            "verdict": _verdict(res.pointwise_error <= 1e-8 and res.drift <= 1e-9),
-        }
-    )
+    cases = [
+        _contour_case("identity reproduced through the contour", calderon_apply([u0], holo_identity())),
+        _contour_case("square of a seeded positive field", calderon_apply([us], holo_square())),
+        _contour_case("exponential of a cosine profile", calderon_apply([u0], holo_exp())),
+    ]
     inv = invert(us)
-    cases.append(
-        {
-            "label": "reciprocal with certified lower bound",
-            "residual": inv.residual,
-            "lower_bound": inv.lower_bound,
-            "verdict": _verdict(inv.residual <= 1e-8),
-        }
-    )
+    label = "reciprocal with certified lower bound"
+    cases.append(_case(label, _verdict(inv.residual <= 1e-8), residual=inv.residual, lower_bound=inv.lower_bound))
 
     numer = make_bump(spec, [(2.0, 4.0)]).field
     cutoff = make_bump(spec, [(0.05, 6.1)], [(2.0, 4.0)])
     floor = float(np.min(np.abs(us.samples)))
     division = divide(numer, us, cutoff, floor)
-    cases.append(
-        {
-            "label": "quotient on a cutoff neighborhood of the numerator support",
-            "residual": division.residual,
-            "verdict": _verdict(division.residual <= 1e-7),
-        }
-    )
+    label = "quotient on a cutoff neighborhood of the numerator support"
+    cases.append(_case(label, _verdict(division.residual <= 1e-7), residual=division.residual))
 
     chain = chain_rule_check([us], holo_square())
-    cases.append(
-        {
-            "label": "chain rule for the square, one axis",
-            "max_rel_err": chain.max_rel_err,
-            "verdict": _verdict(chain.passed),
-        }
-    )
+    cases.append(_case("chain rule for the square, one axis", _verdict(chain.passed), max_rel_err=chain.max_rel_err))
 
     spec2 = make_grid(2, int(cfg["samples_per_axis_2d"]), blocks=(2,))
     f1 = positive_field(spec2, _child(seed, 1), kmax=4)
     f2 = positive_field(spec2, _child(seed, 2), kmax=4)
-    res2 = calderon_apply([f1, f2], holo_product2())
-    cases.append(
-        {
-            "label": "two-variable product on a plane grid",
-            "pointwise_error": res2.pointwise_error,
-            "drift": res2.drift,
-            "verdict": _verdict(res2.pointwise_error <= 1e-8 and res2.drift <= 1e-9),
-        }
-    )
+    cases.append(_contour_case("two-variable product on a plane grid", calderon_apply([f1, f2], holo_product2())))
     chain2 = chain_rule_check([f1, f2], holo_product2())
-    cases.append(
-        {
-            "label": "chain rule for the two-variable product",
-            "max_rel_err": chain2.max_rel_err,
-            "verdict": _verdict(chain2.passed),
-        }
-    )
+    label = "chain rule for the two-variable product"
+    cases.append(_case(label, _verdict(chain2.passed), max_rel_err=chain2.max_rel_err))
 
     attained = (complex(u0.samples[7]), complex(us.samples[7]))
     rep = joint_spectrum_witness([u0, us], attained)
-    cases.append(
-        {
-            "label": "witness refused at an attained value pair",
-            "status": rep.status,
-            "delta_inf": rep.delta_inf,
-            "verdict": _verdict(rep.status == "refused"),
-        }
-    )
+    label = "witness refused at an attained value pair"
+    cases.append(_case(label, _verdict(rep.status == "refused"), status=rep.status, delta_inf=rep.delta_inf))
     rep = joint_spectrum_witness([u0, us], (10.0 + 3.0j, -9.0 + 0.0j))
-    cases.append(
-        {
-            "label": "witness produced away from the joint range",
-            "status": rep.status,
-            "residual": rep.residual,
-            "verdict": _verdict(rep.status == "witness" and rep.residual is not None and rep.residual <= 1e-8),
-        }
-    )
+    verdict = _verdict(rep.status == "witness" and rep.residual is not None and rep.residual <= 1e-8)
+    cases.append(_case("witness produced away from the joint range", verdict, status=rep.status, residual=rep.residual))
 
     partials = check_partial_consistency(holo_product2(), seed=_child(seed, 3))
-    cases.append(
-        {
-            "label": "supplied partial derivatives match symmetric differences",
-            "max_rel_err": partials.max_rel_err,
-            "verdict": _verdict(partials.passed),
-        }
-    )
+    label = "supplied partial derivatives match symmetric differences"
+    cases.append(_case(label, _verdict(partials.passed), max_rel_err=partials.max_rel_err))
 
     cont = composite_continuity_check([u0], holo_exp(), epsilons=[0.4, 0.2, 0.1, 0.05])
-    cases.append(
-        {
-            "label": "composition gap decreases along the smoothing sweep",
-            "gaps": list(cont.gaps),
-            "skipped": list(cont.skipped),
-            "verdict": PASS if cont.monotone_ok else INCONCLUSIVE,
-        }
-    )
+    label = "composition gap decreases along the smoothing sweep"
+    verdict = PASS if cont.monotone_ok else INCONCLUSIVE
+    cases.append(_case(label, verdict, gaps=list(cont.gaps), skipped=list(cont.skipped)))
 
     cases.append(
         _refusal_case(
@@ -908,23 +700,17 @@ def _suite_sw_embedding(cfg: dict, seed: int):
                 verdict = INCONCLUSIVE
             else:
                 verdict = FAIL
-            cases.append(
-                {
-                    "label": f"majorant quotient, p={_fmt_p(p)}, {n_res} samples",
-                    "max_ratio": rep.max_ratio,
-                    "verdict": verdict,
-                }
-            )
+            cases.append(_case(f"majorant quotient, p={_fmt_p(p)}, {n_res} samples", verdict, max_ratio=rep.max_ratio))
         if int(n_res) == int(cfg["resolutions"][0]):
             dil = dilation_ratio_check(fields[: min(6, count)], 2.0, chi, factor=2)
             finite = math.isfinite(dil.max_volume) and math.isfinite(dil.max_root)
             cases.append(
-                {
-                    "label": "integer dilation, both candidate prefactors recorded",
-                    "max_ratio_volume_exponent": dil.max_volume,
-                    "max_ratio_root_exponent": dil.max_root,
-                    "verdict": PASS if finite else INCONCLUSIVE,
-                }
+                _case(
+                    "integer dilation, both candidate prefactors recorded",
+                    PASS if finite else INCONCLUSIVE,
+                    max_ratio_volume_exponent=dil.max_volume,
+                    max_ratio_root_exponent=dil.max_root,
+                )
             )
             cases.append(
                 _refusal_case(
@@ -933,14 +719,8 @@ def _suite_sw_embedding(cfg: dict, seed: int):
                     lambda: sw_embedding_check(fields[:1], multi_order(0.5, (1,)), 2.0, chi, chi_tilde),
                 )
             )
-    cases.append(
-        _stability_case(
-            "per-sample majorant quotient stability under refinement, p=2",
-            track[0],
-            track[-1],
-            float(cfg["stability_rtol"]),
-        )
-    )
+    label = "per-sample majorant quotient stability under refinement, p=2"
+    cases.append(_stability_case(label, track[0], track[-1], float(cfg["stability_rtol"])))
     return cases, {}
 
 
@@ -964,13 +744,8 @@ def _suite_schatten(cfg: dict, seed: int):
             for sym in syms:
                 for tau in taus:
                     worst_hs = max(worst_hs, hs_identity_gap(sym, tau))
-        cases.append(
-            {
-                "label": f"Hilbert-Schmidt identity across symbol families, {n_res} samples",
-                "max_gap": worst_hs,
-                "verdict": _verdict(worst_hs <= hs_tol),
-            }
-        )
+        label = f"Hilbert-Schmidt identity across symbol families, {n_res} samples"
+        cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
 
         mono_ok = True
         gaussian_ops = [quantize(sym, 0.5) for sym in families["gaussian"]]
@@ -979,12 +754,7 @@ def _suite_schatten(cfg: dict, seed: int):
             n2 = schatten_norm(op, 2.0)
             ninf = schatten_norm(op, math.inf)
             mono_ok = mono_ok and n1 >= n2 * (1.0 - 1e-12) and n2 >= ninf * (1.0 - 1e-12)
-        cases.append(
-            {
-                "label": f"Schatten norms decrease in p, {n_res} samples",
-                "verdict": _verdict(mono_ok),
-            }
-        )
+        cases.append(_case(f"Schatten norms decrease in p, {n_res} samples", _verdict(mono_ok)))
 
         ones = field_from_values(sym_spec, np.ones(sym_spec.shape))
         id_sym = make_symbol(ones, 1, order)
@@ -992,38 +762,23 @@ def _suite_schatten(cfg: dict, seed: int):
         id_norm = schatten_norm(id_op, 2.0)
         id_gap = abs(id_norm - math.sqrt(n_res))
         identity_track.append(id_norm)
-        cases.append(
-            {
-                "label": f"constant symbol quantizes to the identity, {n_res} samples",
-                "hs_norm": id_norm,
-                "exact_value": math.sqrt(n_res),
-                "verdict": _verdict(id_gap <= 1e-10 * math.sqrt(n_res)),
-            }
-        )
+        label = f"constant symbol quantizes to the identity, {n_res} samples"
+        verdict = _verdict(id_gap <= 1e-10 * math.sqrt(n_res))
+        cases.append(_case(label, verdict, hs_norm=id_norm, exact_value=math.sqrt(n_res)))
         op0 = gaussian_ops[0]
         flip = (-np.arange(n_res)) % n_res
         conj = op0.entries[np.ix_(flip, flip)]
         sv_a = np.sort(op0.singular_values())
         sv_b = np.sort(np.linalg.svd(conj, compute_uv=False))
         sv_gap = float(np.max(np.abs(sv_a - sv_b)) / max(float(sv_a[-1]), 1e-300))
-        cases.append(
-            {
-                "label": f"singular values invariant under grid reflection, {n_res} samples",
-                "max_rel_gap": sv_gap,
-                "verdict": _verdict(sv_gap <= 1e-9),
-            }
-        )
+        label = f"singular values invariant under grid reflection, {n_res} samples"
+        cases.append(_case(label, _verdict(sv_gap <= 1e-9), max_rel_gap=sv_gap))
 
     growth = identity_track[-1] / max(identity_track[0], 1e-300)
     expected_growth = math.sqrt(int(cfg["resolutions"][-1]) / int(cfg["resolutions"][0]))
-    cases.append(
-        {
-            "label": "constant symbol: Hilbert-Schmidt norm grows like the square root of the dimension",
-            "growth": growth,
-            "expected_growth": expected_growth,
-            "verdict": _verdict(abs(growth - expected_growth) <= 1e-10 * expected_growth),
-        }
-    )
+    label = "constant symbol: Hilbert-Schmidt norm grows like the square root of the dimension"
+    verdict = _verdict(abs(growth - expected_growth) <= 1e-10 * expected_growth)
+    cases.append(_case(label, verdict, growth=growth, expected_growth=expected_growth))
 
     bound_track = []
     center_box = tuple(float(v) for v in cfg["center_box"])
@@ -1045,34 +800,18 @@ def _suite_schatten(cfg: dict, seed: int):
         window = make_bump(sym_spec, [(1.0, 9.0)] * 2, [(3.0, 7.0)] * 2)
         rep = schatten_bound_check(syms, 1.0, 0.5, window, ContinuousScheme(16))
         bound_track.append(rep.ratios)
-        cases.append(
-            {
-                "label": f"trace-class quotient against the windowed symbol norm, {n_res} samples",
-                "max_ratio": rep.max_ratio,
-                "verdict": PASS if math.isfinite(rep.max_ratio) else INCONCLUSIVE,
-            }
-        )
-    cases.append(
-        _stability_case(
-            "per-symbol trace-class quotient stability on localized symbols",
-            bound_track[0],
-            bound_track[-1],
-            float(cfg["stability_rtol"]),
-        )
-    )
+        label = f"trace-class quotient against the windowed symbol norm, {n_res} samples"
+        cases.append(_case(label, PASS if math.isfinite(rep.max_ratio) else INCONCLUSIVE, max_ratio=rep.max_ratio))
+    label = "per-symbol trace-class quotient stability on localized symbols"
+    cases.append(_stability_case(label, bound_track[0], bound_track[-1], float(cfg["stability_rtol"])))
 
     n_res = int(cfg["resolutions"][0])
     period = self_dual_period(n_res)
     sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
     sweep_sym = symbol_family("gaussian", sym_spec, 1, multi_order((2.0, 2.0), (1, 1)), _child(seed, 7), 1)[0]
     sweep = tau_sweep_check(sweep_sym, 2.0)
-    cases.append(
-        {
-            "label": "Schatten distance grows along the tau sweep",
-            "gaps": list(sweep.gaps_from_first),
-            "verdict": PASS if sweep.monotone_ok else INCONCLUSIVE,
-        }
-    )
+    verdict = PASS if sweep.monotone_ok else INCONCLUSIVE
+    cases.append(_case("Schatten distance grows along the tau sweep", verdict, gaps=list(sweep.gaps_from_first)))
     return cases, {}
 
 
@@ -1095,13 +834,8 @@ def _suite_coordinate_change(cfg: dict, seed: int):
                 rep = coordinate_change_check(u, b, iso, tol=tol)
                 worst = max(worst, rep.sup_err)
                 ok = ok and rep.passed
-    cases = [
-        {
-            "label": f"commutation over {len(isometries)} isometries and {len(multipliers)} multipliers",
-            "max_sup_err": worst,
-            "verdict": _verdict(ok),
-        }
-    ]
+    label = f"commutation over {len(isometries)} isometries and {len(multipliers)} multipliers"
+    cases = [_case(label, _verdict(ok), max_sup_err=worst)]
     cases.append(
         _refusal_case(
             "non-lattice rotation is refused",
@@ -1111,121 +845,135 @@ def _suite_coordinate_change(cfg: dict, seed: int):
     )
     rot = isometry_from_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
     mat = np.linalg.matrix_power(rot.matrix(), 4)
-    cases.append(
-        {
-            "label": "quarter turn has order four",
-            "verdict": _verdict(bool(np.array_equal(mat, np.eye(2)))),
-        }
-    )
+    cases.append(_case("quarter turn has order four", _verdict(bool(np.array_equal(mat, np.eye(2))))))
     return cases, {}
 
 
-_DEFAULTS: dict[str, dict] = {
-    "peetre": {"samples": 100_000, "max_dim": 4, "order_bound": 3.0, "scale": 50.0},
-    "weight-conv": {"box": 24.0, "step": 0.05, "probes_per_block": 17},
-    "spectral-exactness": {"samples_per_axis": 64, "tol": 1e-10},
-    "exact-identities": {"samples_per_axis": 128, "count": 8, "tol": 1e-10, "hs_tol": 1e-8},
-    "window-bound": {"samples_per_axis": 128, "count": 20},
-    "sobolev-product": {"samples_per_axis": 128, "count": 12},
-    "twisted-periodization": {"samples_per_axis": 128, "cells_per_axis": 4},
-    "lattice-decomposition": {
-        "resolutions": [128, 256],
-        "count": 50,
-        "cells_per_axis": 4,
-        "stability_rtol": 0.10,
-    },
-    "h-equals-k2": {
-        "resolutions": [128, 256],
-        "count": 16,
-        "cells_per_axis": 4,
-        "agreement_tol": 1e-10,
-    },
-    "window-independence": {
-        "resolutions": [128, 256],
-        "count": 50,
-        "p_values": [1.0, 2.0, "inf"],
-        "bracket": [0.02, 50.0],
-        "stability_rtol": 0.10,
-    },
-    "embedding-chain": {"samples_per_axis": 128, "count": 10, "p_values": [1.0, 2.0, 4.0, "inf"]},
-    "kato-product": {"samples_per_axis": 128, "count": 10, "slack": 1.05},
-    "retraction": {"resolutions": [128, 256], "count": 8, "cells_per_axis": 4, "tol": 1e-10},
-    "mollifier-rate": {
-        "samples_per_axis": 1024,
-        "count": 8,
-        "kmax": 500,
-        "delta": 0.02,
-        "epsilons": [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05],
-        "pairs": [[2.0, 1.0], [1.5, 1.0], [1.0, 0.75]],
-        "slope_tol": 0.1,
-        "fit_floor": 0.1,
-    },
-    "calderon": {
-        "samples_per_axis": 256,
-        "samples_per_axis_2d": 32,
-        "node_sweep": [16, 24, 32, 48, 64],
-    },
-    "sw-embedding": {
-        "resolutions": [128, 256],
-        "count": 50,
-        "p_values": [1.0, 2.0],
-        "order": 1.5,
-        "bracket": 10.0,
-        "stability_rtol": 0.10,
-    },
-    "schatten": {
-        "resolutions": [16, 32],
-        "bound_resolutions": [32, 64],
-        "count": 6,
-        "taus": [0.0, 0.5, 1.0],
-        "hs_tol": 1e-8,
-        "center_box": [1.5, 5.5],
-        "width_range": [0.5, 0.9],
-        "stability_rtol": 0.10,
-    },
-    "coordinate-change": {"samples_per_axis": 32, "count": 5, "tol": 1e-11},
-}
-
-_CLAIMS: dict[str, str] = {
-    "peetre": "the two-sided weight quotient stays at or below one for every split order",
-    "weight-conv": "truncated weight convolutions stay below their closed-form constants",
-    "spectral-exactness": "plane waves are exact eigenvectors of weight multipliers, derivatives, and quantized frequency multipliers",
-    "exact-identities": "derivative norm splits, partition retraction, and the Hilbert-Schmidt identity hold to stated precision",
-    "window-bound": "window and periodic multiplier constants bound the weighted norm of a product",
-    "sobolev-product": "products of field pairs obey the split-order bound with the closed-form constant",
-    "twisted-periodization": "phase-twisted lattice periodizations occupy a single frequency coset",
-    "lattice-decomposition": "the square-summed lattice localization stays inside its two-sided bracket",
-    "h-equals-k2": "the sliding-window route and the partition route to the quadratic amalgam norm agree",
-    "window-independence": "amalgam norms built from two admissible windows differ by a bounded, stable factor",
-    "embedding-chain": "amalgam norms decrease along the integrability exponent and along the order",
-    "kato-product": "windowed norms of products obey the split-order bound with the explicit reference constant",
-    "retraction": "localized sections reassemble the field exactly with comparable section norms",
-    "mollifier-rate": "smoothing errors obey the explicit two-power bound and realize the predicted rate",
-    "calderon": "the contour calculus reproduces identity, square, exponential, reciprocal, and quotient values with stable quadrature",
-    "sw-embedding": "the sliding-window modulation norm is controlled by the explicit windowed majorant",
-    "schatten": "quantized symbols obey the Hilbert-Schmidt identity, Schatten monotonicity, and reflection-invariant singular values",
-    "coordinate-change": "radial frequency multipliers commute with every signed axis permutation",
-}
-
-_SUITES: dict[str, Callable[[dict, int], tuple[list, dict]]] = {
-    "peetre": _suite_peetre,
-    "weight-conv": _suite_weight_conv,
-    "spectral-exactness": _suite_spectral_exactness,
-    "exact-identities": _suite_exact_identities,
-    "window-bound": _suite_window_bound,
-    "sobolev-product": _suite_sobolev_product,
-    "twisted-periodization": _suite_twisted_periodization,
-    "lattice-decomposition": _suite_lattice_decomposition,
-    "h-equals-k2": _suite_h_equals_k2,
-    "window-independence": _suite_window_independence,
-    "embedding-chain": _suite_embedding_chain,
-    "kato-product": _suite_kato_product,
-    "retraction": _suite_retraction,
-    "mollifier-rate": _suite_mollifier_rate,
-    "calderon": _suite_calderon,
-    "sw-embedding": _suite_sw_embedding,
-    "schatten": _suite_schatten,
-    "coordinate-change": _suite_coordinate_change,
+# One record per suite, in run order: (run, claim, default options).  A run
+# takes (options, seed) and returns (cases, plot tables); the options a
+# config may override are exactly the keys of the defaults.
+_SUITES: dict[str, tuple[Callable[[dict, int], tuple[list, dict]], str, dict]] = {
+    "peetre": (
+        _suite_peetre,
+        "the two-sided weight quotient stays at or below one for every split order",
+        {"samples": 100_000, "max_dim": 4, "order_bound": 3.0, "scale": 50.0},
+    ),
+    "weight-conv": (
+        _suite_weight_conv,
+        "truncated weight convolutions stay below their closed-form constants",
+        {"box": 24.0, "step": 0.05, "probes_per_block": 17},
+    ),
+    "spectral-exactness": (
+        _suite_spectral_exactness,
+        "plane waves are exact eigenvectors of weight multipliers, derivatives, and quantized frequency multipliers",
+        {"samples_per_axis": 64, "tol": 1e-10},
+    ),
+    "exact-identities": (
+        _suite_exact_identities,
+        "derivative norm splits, partition retraction, and the Hilbert-Schmidt identity hold to stated precision",
+        {"samples_per_axis": 128, "count": 8, "tol": 1e-10, "hs_tol": 1e-8},
+    ),
+    "window-bound": (
+        _suite_window_bound,
+        "window and periodic multiplier constants bound the weighted norm of a product",
+        {"samples_per_axis": 128, "count": 20},
+    ),
+    "sobolev-product": (
+        _suite_sobolev_product,
+        "products of field pairs obey the split-order bound with the closed-form constant",
+        {"samples_per_axis": 128, "count": 12},
+    ),
+    "twisted-periodization": (
+        _suite_twisted_periodization,
+        "phase-twisted lattice periodizations occupy a single frequency coset",
+        {"samples_per_axis": 128, "cells_per_axis": 4},
+    ),
+    "lattice-decomposition": (
+        _suite_lattice_decomposition,
+        "the square-summed lattice localization stays inside its two-sided bracket",
+        {"resolutions": [128, 256], "count": 50, "cells_per_axis": 4, "stability_rtol": 0.10},
+    ),
+    "h-equals-k2": (
+        _suite_h_equals_k2,
+        "the sliding-window route and the partition route to the quadratic amalgam norm agree",
+        {"resolutions": [128, 256], "count": 16, "cells_per_axis": 4, "agreement_tol": 1e-10},
+    ),
+    "window-independence": (
+        _suite_window_independence,
+        "amalgam norms built from two admissible windows differ by a bounded, stable factor",
+        {
+            "resolutions": [128, 256],
+            "count": 50,
+            "p_values": [1.0, 2.0, "inf"],
+            "bracket": [0.02, 50.0],
+            "stability_rtol": 0.10,
+        },
+    ),
+    "embedding-chain": (
+        _suite_embedding_chain,
+        "amalgam norms decrease along the integrability exponent and along the order",
+        {"samples_per_axis": 128, "count": 10, "p_values": [1.0, 2.0, 4.0, "inf"]},
+    ),
+    "kato-product": (
+        _suite_kato_product,
+        "windowed norms of products obey the split-order bound with the explicit reference constant",
+        {"samples_per_axis": 128, "count": 10, "slack": 1.05},
+    ),
+    "retraction": (
+        _suite_retraction,
+        "localized sections reassemble the field exactly with comparable section norms",
+        {"resolutions": [128, 256], "count": 8, "cells_per_axis": 4, "tol": 1e-10},
+    ),
+    "mollifier-rate": (
+        _suite_mollifier_rate,
+        "smoothing errors obey the explicit two-power bound and realize the predicted rate",
+        {
+            "samples_per_axis": 1024,
+            "count": 8,
+            "kmax": 500,
+            "delta": 0.02,
+            "epsilons": [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05],
+            "pairs": [[2.0, 1.0], [1.5, 1.0], [1.0, 0.75]],
+            "slope_tol": 0.1,
+            "fit_floor": 0.1,
+        },
+    ),
+    "calderon": (
+        _suite_calderon,
+        "the contour calculus reproduces identity, square, exponential, reciprocal, and quotient values with stable quadrature",
+        {"samples_per_axis": 256, "samples_per_axis_2d": 32, "node_sweep": [16, 24, 32, 48, 64]},
+    ),
+    "sw-embedding": (
+        _suite_sw_embedding,
+        "the sliding-window modulation norm is controlled by the explicit windowed majorant",
+        {
+            "resolutions": [128, 256],
+            "count": 50,
+            "p_values": [1.0, 2.0],
+            "order": 1.5,
+            "bracket": 10.0,
+            "stability_rtol": 0.10,
+        },
+    ),
+    "schatten": (
+        _suite_schatten,
+        "quantized symbols obey the Hilbert-Schmidt identity, Schatten monotonicity, and reflection-invariant singular values",
+        {
+            "resolutions": [16, 32],
+            "bound_resolutions": [32, 64],
+            "count": 6,
+            "taus": [0.0, 0.5, 1.0],
+            "hs_tol": 1e-8,
+            "center_box": [1.5, 5.5],
+            "width_range": [0.5, 0.9],
+            "stability_rtol": 0.10,
+        },
+    ),
+    "coordinate-change": (
+        _suite_coordinate_change,
+        "radial frequency multipliers commute with every signed axis permutation",
+        {"samples_per_axis": 32, "count": 5, "tol": 1e-11},
+    ),
 }
 
 
@@ -1335,7 +1083,7 @@ def _load_config(path: str | None) -> dict:
             raise _UsageError(f"unknown suite in config: {sid!r}")
         if not isinstance(overrides, dict):
             raise _UsageError(f"config for suite {sid!r} must be an object")
-        bad = set(overrides) - set(_DEFAULTS[sid])
+        bad = set(overrides) - set(_SUITES[sid][2])
         if bad:
             raise _UsageError(f"unknown options for suite {sid!r}: {sorted(bad)}")
     return cfg
@@ -1345,26 +1093,16 @@ class _UsageError(Exception):
     pass
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("KATOKIT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise _UsageError(f"KATOKIT_THREADS must be an integer, got {raw!r}")
-    return max(1, value)
-
-
 def _run_suite(sid: str, cfg_all: dict, base_seed: int):
-    cfg = dict(_DEFAULTS[sid])
+    run, claim, defaults = _SUITES[sid]
+    cfg = dict(defaults)
     cfg.update(cfg_all.get("suites", {}).get(sid, {}))
     seed = _suite_seed(base_seed, sid)
-    cases, plots = _SUITES[sid](cfg, seed)
+    cases, plots = run(cfg, seed)
     verdict = _aggregate([c["verdict"] for c in cases])
     report = {
         "suite": sid,
-        "claim": _CLAIMS[sid],
+        "claim": claim,
         "seed": seed,
         "config": cfg,
         "cases": cases,
@@ -1381,16 +1119,15 @@ def cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    threads = _thread_count()
-    if threads > 1 and len(suite_ids) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda sid: _run_suite(sid, cfg_all, base_seed), suite_ids))
-    else:
-        results = [_run_suite(sid, cfg_all, base_seed) for sid in suite_ids]
-
     verdicts = {}
-    for report, plots in results:
-        sid = report["suite"]
+    errors = {}
+    for sid in suite_ids:
+        try:
+            report, plots = _run_suite(sid, cfg_all, base_seed)
+        except KatokitError as exc:
+            print(f"error: {sid}: {exc}", file=sys.stderr)
+            errors[sid] = type(exc).__name__
+            continue
         _write_json(out / f"{sid}.json", report)
         _write_cases_csv(out / f"{sid}-cases.csv", report["cases"])
         for fname, (header, rows) in plots.items():
@@ -1398,8 +1135,13 @@ def cmd_verify(args) -> int:
         verdicts[sid] = report["verdict"]
         print(f"{sid:24s} {report['verdict']}")
     overall = _aggregate(list(verdicts.values()))
-    _write_json(out / "summary.json", {"verdicts": verdicts, "overall": overall, "seed": base_seed})
+    summary = {"verdicts": verdicts, "overall": overall, "seed": base_seed}
+    if errors:
+        summary["errors"] = errors
+    _write_json(out / "summary.json", summary)
     print(f"{'overall':24s} {overall}")
+    if errors:
+        return 2
     return 1 if overall == FAIL else 0
 
 
@@ -1549,11 +1291,8 @@ _NUMERIC_HINTS = (
 
 def cmd_report(args) -> int:
     reports = _collect_reports(Path(args.path))
-    worst = PASS
-    for report in reports:
-        verdict = report.get("verdict", INCONCLUSIVE)
-        if verdict in _SEVERITY and _SEVERITY[verdict] > _SEVERITY[worst]:
-            worst = verdict
+    verdicts = [report.get("verdict", INCONCLUSIVE) for report in reports]
+    for report, verdict in zip(reports, verdicts):
         print(f"{report.get('suite', '?'):24s} {verdict}")
         print(f"  claim: {report.get('claim', '')}")
         for case in report.get("cases", []):
@@ -1567,7 +1306,8 @@ def cmd_report(args) -> int:
     if args.csv:
         cases = [{"suite": r.get("suite", "?"), **case} for r in reports for case in r.get("cases", [])]
         _write_cases_csv(Path(args.csv), cases)
-    return 1 if worst == FAIL else 0
+    # A verdict string this version does not know is shown but does not count.
+    return 1 if _aggregate([v for v in verdicts if v in _SEVERITY]) == FAIL else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

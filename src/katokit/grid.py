@@ -24,7 +24,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,7 +52,6 @@ __all__ = [
     "lattice_shifts",
     "translates",
     "pointwise_mul",
-    "pointwise_apply",
     "smooth_step",
     "make_bump",
     "window_from_samples",
@@ -275,10 +274,6 @@ def pointwise_mul(f: Field, g: Field) -> Field:
     if f.spec != g.spec:
         raise ShapeError("pointwise product requires identical grids")
     return Field(f.spec, f.samples * g.samples)
-
-
-def pointwise_apply(f: Field, fn: Callable[[np.ndarray], np.ndarray]) -> Field:
-    return Field(f.spec, np.asarray(fn(f.samples), dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------

@@ -466,3 +466,21 @@ def test_composition_skips_unresolvable_epsilons():
     report = composite_continuity_check([u], holo_exp(), [0.4, 0.2, 1e-4])
     assert 1e-4 in report.skipped
     assert len(report.epsilons) == 2
+
+
+def test_composition_refuses_non_finite_sample():
+    spec, u = cosine_field()
+    samples = np.array(u.samples, dtype=complex)
+    samples[9] = np.nan
+    with pytest.raises(OutOfDomainError, match=r"\(9,\)"):
+        composite_continuity_check([Field(spec, samples)], holo_exp(), [0.4, 0.2, 0.1])
+
+
+def test_composition_refuses_smoothed_proxy_outside_domain():
+    # a jump from -2 to 2 stays outside the unit disc, but smoothing it
+    # passes through 0
+    spec = make_grid(1, N)
+    x = np.asarray(coordinate_axes(spec)[0])
+    u = field_from_values(spec, np.where(x < math.pi, -2.0, 2.0))
+    with pytest.raises(OutOfDomainError):
+        composite_continuity_check([u], holo_reciprocal(1.0), [0.4, 0.2, 0.1])

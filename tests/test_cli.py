@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from katokit import kato
+from katokit import cli, kato
 from katokit.cli import main
 from katokit.grid import (
     constant_field,
@@ -238,6 +238,27 @@ def test_verify_refuses_hypothesis_violating_config(tmp_path, capsys):
     assert "block dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("order", [("spectral-exactness", "sw-embedding"), ("sw-embedding", "spectral-exactness")])
+def test_verify_all_keeps_the_other_suites(tmp_path, capsys, monkeypatch, order):
+    # a suite that raises is named in the summary; the others still run
+    # and keep their files, and the exit code is 2
+    monkeypatch.setattr(cli, "_SUITES", {sid: cli._SUITES[sid] for sid in order})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"sw-embedding": {"order": 0.5}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", "all", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: sw-embedding:" in captured.err
+    assert "spectral-exactness       PASS" in captured.out
+    for name in ("spectral-exactness.json", "spectral-exactness-cases.csv"):
+        assert (out / name).exists()
+    assert not (out / "sw-embedding.json").exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"spectral-exactness": "PASS"}
+    assert summary["errors"] == {"sw-embedding": "HypothesisError"}
+
+
 def test_verify_rejects_unknown_suite_option(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": {"peetre": {"bogus": 1}}}))
@@ -287,6 +308,13 @@ def test_report_renders_pass_lines(tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "peetre" in text and "PASS" in text
+    # a stored verdict this version does not know is shown, not counted
+    unknown = json.loads((out / "peetre.json").read_text())
+    unknown["verdict"] = "SKIPPED"
+    (out / "peetre.json").write_text(json.dumps(unknown))
+    rc = main(["report", str(out / "peetre.json")])
+    assert rc == 0
+    assert "SKIPPED" in capsys.readouterr().out
 
 
 def test_report_csv_and_epsilon_sweep_monotone(tmp_path, capsys):
