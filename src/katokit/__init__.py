@@ -19,6 +19,7 @@ from .errors import (
     HypothesisError,
     KatokitError,
     MarginError,
+    NonFiniteError,
     OutOfDomainError,
     PartitionError,
     QuadratureError,
@@ -86,6 +87,7 @@ __all__ = [
     "GridError",
     "ShapeError",
     "FieldFormatError",
+    "NonFiniteError",
     "ResolutionError",
     "HypothesisError",
     "PartitionError",

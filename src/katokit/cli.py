@@ -1086,6 +1086,9 @@ def _load_config(path: str | None) -> dict:
         bad = set(overrides) - set(_SUITES[sid][2])
         if bad:
             raise _UsageError(f"unknown options for suite {sid!r}: {sorted(bad)}")
+        count = overrides.get("count", 1)
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise _UsageError(f"option 'count' of suite {sid!r} must be an integer >= 1, got {count!r}")
     return cfg
 
 

@@ -7,6 +7,7 @@ __all__ = [
     "GridError",
     "ShapeError",
     "FieldFormatError",
+    "NonFiniteError",
     "ResolutionError",
     "HypothesisError",
     "PartitionError",
@@ -31,6 +32,10 @@ class ShapeError(KatokitError, ValueError):
 
 class FieldFormatError(KatokitError, ValueError):
     """Malformed binary field file (bad magic, truncation, overflow)."""
+
+
+class NonFiniteError(FieldFormatError):
+    """Samples hold NaN or infinite values (in a field file, or passed to a norm)."""
 
 
 class ResolutionError(KatokitError, ValueError):

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import FieldFormatError, GridError, ResolutionError, ShapeError
+from .errors import FieldFormatError, GridError, NonFiniteError, ResolutionError, ShapeError
 
 __all__ = [
     "DEFAULT_PERIOD",
@@ -51,6 +51,9 @@ __all__ = [
     "translate",
     "lattice_shifts",
     "translates",
+    "tile_translates",
+    "gather_translates",
+    "require_finite",
     "pointwise_mul",
     "smooth_step",
     "make_bump",
@@ -216,6 +219,14 @@ def l2_norm(field: Field) -> float:
     return float(math.sqrt(field.spec.cell_volume * float(np.sum(np.abs(field.samples) ** 2))))
 
 
+def require_finite(samples: np.ndarray, what: str) -> None:
+    """Refuse NaN or infinite samples, naming how many there are and the first."""
+    finite = np.isfinite(samples)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        raise NonFiniteError(f"{what}: {bad.size} non-finite sample(s), the first at flat index {bad[0]}")
+
+
 def sup_norm(field: Field) -> float:
     return float(np.max(np.abs(field.samples)))
 
@@ -257,17 +268,28 @@ def lattice_shifts(spec: GridSpec, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def translates(samples: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """tau_y samples = np.roll(samples, y) for index shifts y.
+def tile_translates(samples: np.ndarray) -> np.ndarray:
+    """Every N^n window of `samples` tiled to (2N)^n, as a read-only view:
+    the one array `gather_translates` takes the translates of `samples` from."""
+    tiled = np.tile(samples, (2,) * samples.ndim)
+    return sliding_window_view(tiled, samples.shape)
+
+
+def gather_translates(tiled: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """tau_y samples for index shifts y, from `tiled = tile_translates(samples)`.
 
     Shifts of shape (G, dim) give a new (G, N, .., N) array; one shift of
     shape (dim,) gives a read-only view of a single translate.
     """
-    n_samp = samples.shape[0]
-    # tau_y u is the N^n slice, starting at N - y, of u tiled to (2N)^n
-    tiled = np.tile(samples, (2,) * samples.ndim)
+    n_samp = tiled.shape[-1]
+    # tau_y u is the N^n window, starting at N - y, of u tiled to (2N)^n
     starts = (n_samp - np.asarray(shifts)) % n_samp
-    return sliding_window_view(tiled, samples.shape)[tuple(starts.T)]
+    return tiled[tuple(starts.T)]
+
+
+def translates(samples: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """tau_y samples = np.roll(samples, y) for index shifts y (see `gather_translates`)."""
+    return gather_translates(tile_translates(samples), shifts)
 
 
 def pointwise_mul(f: Field, g: Field) -> Field:
@@ -344,6 +366,16 @@ class Window:
     @property
     def spec(self) -> GridSpec:
         return self.field.spec
+
+    @functools.cached_property
+    def translate_tile(self) -> np.ndarray:
+        """`tile_translates` of the samples, built once per window.  It holds
+        the real part when the imaginary part is identically zero (every
+        window katokit builds): half the bytes to gather, and a product with
+        a complex field that rounds to the same bits.  The samples must not
+        be written after its first use."""
+        samples = self.field.samples
+        return tile_translates(samples if np.any(samples.imag) else samples.real)
 
 
 def make_bump(
@@ -531,8 +563,6 @@ def load_field(path: str | Path) -> Field:
             f"payload holds {len(raw) - offset} bytes, expected {expected} for {n}^{dim} complex samples"
         )
     samples = np.frombuffer(raw, dtype="<c16", count=n**dim, offset=offset)
-    bad = np.flatnonzero(~np.isfinite(samples))
-    if bad.size:
-        raise FieldFormatError(f"{bad.size} non-finite sample(s), the first at flat index {bad[0]}")
+    require_finite(samples, f"field file {path}")
     spec = GridSpec(dim, n, period, tuple(int(b) for b in blocks))
     return Field(spec, samples.reshape(spec.shape).astype(np.complex128))

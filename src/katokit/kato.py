@@ -39,11 +39,12 @@ from .grid import (
     Window,
     axis_bump_values,
     coordinate_axes,
+    gather_translates,
     lattice_shifts,
     mollifier_kernel,
     mollify,
+    require_finite,
     rescaled,
-    translates,
     window_from_samples,
 )
 from .sobolev import PartitionOfUnity, h_norm, weight_mesh
@@ -126,7 +127,7 @@ def lattice_coverage(window: Window, cells_per_axis: int) -> np.ndarray:
     spec = window.spec
     psi = np.zeros(spec.shape, dtype=float)
     for y in lattice_shifts(spec, cells_per_axis):
-        psi += np.abs(translates(window.field.samples, y)) ** 2
+        psi += np.abs(gather_translates(window.translate_tile, y)) ** 2
     return psi
 
 
@@ -147,22 +148,25 @@ def translation_shifts(
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def windowed_spectra(field: Field, window: Window, shifts: np.ndarray) -> np.ndarray:
-    """Coefficients c_k(u . tau_y chi) for each shift, shape (G, N, .., N)."""
+def windowed_spectra(field: Field, window: Window, shifts: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients c_k(u . tau_y chi) for each shift, shape (G, N, .., N),
+    written into `out` (complex, of that shape) when it is given."""
     if field.spec != window.spec:
         raise ShapeError("field and window must share a grid")
     spec = field.spec
-    block = translates(window.field.samples, shifts)
-    block *= field.samples
+    block = np.multiply(gather_translates(window.translate_tile, shifts), field.samples, out=out)
     return np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), norm="forward", out=block)
 
 
 def _spectra_blocks(field: Field, window: Window, shifts: np.ndarray):
     """`windowed_spectra` over consecutive blocks of about _BLOCK_ELEMENTS
-    coefficients, so no caller holds the (G, N, .., N) array at once."""
-    rows = max(1, _BLOCK_ELEMENTS // field.spec.num_points)
+    coefficients, so no caller holds the (G, N, .., N) array at once.  Every
+    block is written into one buffer: use it before asking for the next."""
+    rows = max(1, min(shifts.shape[0], _BLOCK_ELEMENTS // field.spec.num_points))
+    buffer = np.empty((rows,) + field.spec.shape, dtype=np.complex128)
     for start in range(0, shifts.shape[0], rows):
-        yield windowed_spectra(field, window, shifts[start : start + rows])
+        block = shifts[start : start + rows]
+        yield windowed_spectra(field, window, block, out=buffer[: block.shape[0]])
 
 
 # Fixed-point resolution of a translation power spectrum, relative to its
@@ -235,12 +239,20 @@ def _translation_power(field: Field, window: Window) -> np.ndarray:
 
 def windowed_norms(field: Field, window: Window, shifts: np.ndarray, order: MultiOrder) -> np.ndarray:
     """||u . tau_y chi||_{H^s} over the shift set."""
+    require_finite(field.samples, "field")
+    require_finite(window.field.samples, "window")
     spec = field.spec
-    w = weight_mesh(spec, order)
-    axes = tuple(range(1, spec.dim + 1))
-    sq = np.concatenate(
-        [np.sum((w * np.abs(coeffs)) ** 2, axis=axes) for coeffs in _spectra_blocks(field, window, shifts)]
-    )
+    # w^2 over the interleaved (re, im) pairs of a row of coefficients
+    w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
+    sq = np.empty(shifts.shape[0])
+    start = 0
+    for coeffs in _spectra_blocks(field, window, shifts):
+        parts = coeffs.reshape(coeffs.shape[0], -1).view(float)
+        np.square(parts, out=parts)
+        # one sum per row, not a BLAS product, whose rounding varies with the
+        # row count: no norm depends on the block its shift falls in
+        np.einsum("ij,j->i", parts, w_sq, out=sq[start : start + parts.shape[0]])
+        start += parts.shape[0]
     vol = spec.period**spec.dim
     return np.sqrt(vol * sq)
 
@@ -256,6 +268,8 @@ def kato_norm(field: Field, norm_spec: AmalgamNormSpec) -> float:
     """
     if field.spec != norm_spec.window.spec:
         raise ShapeError("field and norm window must share a grid")
+    require_finite(field.samples, "field")
+    require_finite(norm_spec.window.field.samples, "window")
     spec = field.spec
     shifts, weight = translation_shifts(spec, norm_spec.scheme)
     if norm_spec.p == 2.0 and shifts.shape[0] == spec.num_points:
@@ -454,12 +468,11 @@ def retraction_roundtrip(
         raise ShapeError("field and partition must share a grid")
     chi = wide or make_retraction_window(partition)
     spec = field.spec
-    master = partition.master.field.samples
     assembled = np.zeros(spec.shape, dtype=np.complex128)
     norms_p: list[float] = []
     for y in lattice_shifts(spec, partition.cells_per_axis):
-        piece = translates(master, y) * field.samples
-        assembled += translates(chi.field.samples, y) * piece
+        piece = gather_translates(partition.master.translate_tile, y) * field.samples
+        assembled += gather_translates(chi.translate_tile, y) * piece
         norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
     arr = np.asarray(norms_p)

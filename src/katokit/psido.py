@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import HypothesisError, ShapeError
-from .grid import Field, GridSpec, Window, frequency_mesh, to_spectrum, from_spectrum
+from .grid import Field, GridSpec, Window, frequency_mesh, from_spectrum, require_finite, to_spectrum
 from .kato import (
     ContinuousScheme,
     LatticeScheme,
@@ -245,6 +245,8 @@ def sw_norm(u: Field, p: float, window: Window, points_per_axis: int | None = No
     """
     if not (p >= 1.0):
         raise HypothesisError(f"p must satisfy p >= 1, got {p}")
+    require_finite(u.samples, "field")
+    require_finite(window.field.samples, "window")
     spec = u.spec
     shifts, wt = translation_shifts(spec, ContinuousScheme(points_per_axis))
     if p == 2.0 and shifts.shape[0] == spec.num_points:

@@ -32,9 +32,9 @@ from .grid import (
     coordinate_axes,
     frequency_axes,
     from_spectrum,
+    gather_translates,
     lattice_shifts,
     to_spectrum,
-    translates,
 )
 from .weights import MultiOrder
 
@@ -286,7 +286,7 @@ def twisted_periodization(
     acc = np.zeros(spec.shape, dtype=np.complex128)
     for y in shifts:
         phase = complex(np.exp(1j * float(np.dot(y // stride, theta_used))))
-        acc += phase * translates(window.field.samples, y)
+        acc += phase * gather_translates(window.translate_tile, y)
     twisted = Field(spec, acc)
 
     coeffs = to_spectrum(twisted)
@@ -422,7 +422,7 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10)
 
     master_periodized = np.zeros(spec.shape, dtype=float)
     for y in lattice:
-        master_periodized += translates(master_samples, y)
+        master_periodized += gather_translates(master.translate_tile, y)
     if float(np.max(np.abs(master_periodized - 1.0))) > tol:
         raise PartitionError("master bump lattice periodization is not 1 within tolerance")
 
@@ -446,9 +446,8 @@ def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order
         raise ShapeError("field and partition must share a grid")
     base = h_norm(field, order)
     total = 0.0
-    master = partition.master.field.samples
     for y in lattice_shifts(field.spec, partition.cells_per_axis):
-        piece = translates(master, y)
+        piece = gather_translates(partition.master.translate_tile, y)
         total += h_norm(Field(field.spec, piece * field.samples), order) ** 2
     return math.sqrt(total) / max(base, 1e-300)
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import HypothesisError, ShapeError
 
@@ -226,7 +225,12 @@ def weight_l1_norm(lam: float, n: int) -> float:
 
 
 def weight_l1_norm_quad(lam: float, n: int, epsrel: float = 1e-10) -> float:
-    """Adaptive-quadrature evaluation of the same L^1 norm (cross-check route)."""
+    """Adaptive-quadrature evaluation of the same L^1 norm (cross-check route).
+
+    The only use of scipy in katokit; it is imported here so that importing
+    the package does not load it."""
+    from scipy import integrate
+
     lam = float(lam)
     if lam <= n / 2.0:
         raise HypothesisError(f"weight exponent lam={lam} must exceed n/2={n / 2.0} for integrability")

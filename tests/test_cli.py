@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import katokit
 from katokit import cli, kato
 from katokit.cli import main
 from katokit.grid import (
@@ -267,6 +272,19 @@ def test_verify_rejects_unknown_suite_option(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [0, -3, 2.5, "4", True, None])
+def test_verify_refuses_count_below_one(tmp_path, capsys, count):
+    # refused once, while the config is read, before any suite runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"lattice-decomposition": {"count": count}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", "lattice-decomposition", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'count'" in err and "'lattice-decomposition'" in err and "integer >= 1" in err
+    assert not out.exists()
+
+
 def test_verify_exit_one_on_failed_assertion(tmp_path, capsys):
     # force an unreachable tolerance: a mathematically asserted identity
     # reported outside it is a FAIL, not an INCONCLUSIVE
@@ -372,3 +390,13 @@ def test_usage_error_is_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
     assert exc.value.code == 2
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy costs most of the start-up; only weight_l1_norm_quad imports it
+    src = str(Path(katokit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, katokit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

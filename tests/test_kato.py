@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from katokit.ensembles import critical_ensemble, realize_ensemble, spectral_ensemble
-from katokit.errors import HypothesisError, ShapeError
+from katokit.errors import HypothesisError, NonFiniteError, ShapeError
 from katokit.grid import (
     Field,
     constant_field,
@@ -29,6 +31,7 @@ from katokit.grid import (
 from katokit.weights import multi_order, sigma_params
 from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio, weight_mesh
 from katokit import kato
+from katokit.psido import sw_norm
 from katokit.kato import (
     ContinuousScheme,
     LatticeScheme,
@@ -144,30 +147,32 @@ def test_translation_shifts_refuse_bad_counts(scheme):
 @pytest.mark.parametrize("scheme", [ContinuousScheme(), LatticeScheme(8)])
 def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
     # shift counts around the block row count, checked against an
-    # independent per-translate loop and against one unblocked spectra call
+    # independent per-translate loop and against one unblocked spectra call,
+    # for a real window and a modulated (complex) one
     spec = make_grid(dim, n_samp)
     order = multi_order(1.5, (dim,))
-    chi = default_window(spec)
+    real = default_window(spec)
+    modulated = Field(spec, real.field.samples * plane_wave(spec, [3] * dim).samples)
     rng = np.random.default_rng(40 + dim)
     u = field_from_values(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
     all_shifts, _ = translation_shifts(spec, scheme)
     rows = max(1, kato._BLOCK_ELEMENTS // spec.num_points)
     axes = tuple(range(dim))
-    w = weight_mesh(spec, order)
-    for g in (1, rows - 1, rows, rows + 1, n_samp):
-        shifts = all_shifts[rng.choice(len(all_shifts), g, replace=g > len(all_shifts))]
-        got = windowed_norms(u, chi, shifts, order)
-        want = [
-            h_norm(Field(spec, np.roll(chi.field.samples, tuple(y), axis=axes) * u.samples), order)
-            for y in shifts
-        ]
-        assert got.shape == (g,)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-        coeffs = windowed_spectra(u, chi, shifts)
-        unblocked = np.sqrt(
-            spec.period**dim * np.sum((w * np.abs(coeffs)) ** 2, axis=tuple(range(1, dim + 1)))
-        )
-        assert np.array_equal(got, unblocked)
+    w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
+    for chi in (real, window_from_samples(modulated, real.support_box, "modulated")):
+        for g in (1, rows - 1, rows, rows + 1, n_samp):
+            shifts = all_shifts[rng.choice(len(all_shifts), g, replace=g > len(all_shifts))]
+            got = windowed_norms(u, chi, shifts, order)
+            want = [
+                h_norm(Field(spec, np.roll(chi.field.samples, tuple(y), axis=axes) * u.samples), order)
+                for y in shifts
+            ]
+            assert got.shape == (g,)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            # the same per-row reduction, w^2 times the squared (re, im) parts
+            parts = windowed_spectra(u, chi, shifts).reshape(g, -1).view(float)
+            unblocked = np.sqrt(spec.period**dim * np.einsum("ij,j->i", parts**2, w_sq))
+            assert np.array_equal(got, unblocked)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +282,44 @@ def test_other_schemes_aggregate_windowed_norms(p, scheme):
     vals = windowed_norms(u, chi, shifts, order)
     want = float(np.max(vals)) if math.isinf(p) else float((weight * np.sum(vals**p)) ** (1.0 / p))
     assert kato_norm(u, amalgam_spec(order, p, chi, scheme)) == want
+
+
+NON_FINITE = [complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0), complex(0.0, -math.inf)]
+
+NORM_ENTRY_POINTS = {
+    "kato_norm": lambda u, chi, p: kato_norm(u, amalgam_spec(multi_order(1.0, (u.spec.dim,)), p, chi)),
+    "windowed_norms": lambda u, chi, p: windowed_norms(
+        u, chi, translation_shifts(u.spec, ContinuousScheme())[0], multi_order(1.0, (u.spec.dim,))
+    ),
+    "sw_norm": lambda u, chi, p: sw_norm(u, p, chi),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    entry=st.sampled_from(sorted(NORM_ENTRY_POINTS)),
+    dim=st.sampled_from([1, 2]),
+    in_window=st.booleans(),
+    p=st.sampled_from([1.0, 2.0, math.inf]),
+    bad=st.dictionaries(st.integers(min_value=0, max_value=63), st.sampled_from(NON_FINITE), min_size=1, max_size=5),
+)
+def test_norms_refuse_non_finite_samples(entry, dim, in_window, p, bad):
+    # NaN or inf anywhere in the field or the window is refused before any
+    # route runs (the p = 2 full-grid convolution included), naming the count
+    # and the first flat index, instead of answering nan
+    spec = make_grid(dim, 64 if dim == 1 else 8)
+    chi = default_window(spec)
+    u = rng_field(spec, 3) if dim == 1 else constant_field(spec, 1.0 + 0.5j)
+    samples = (chi.field if in_window else u).samples.copy()
+    samples.flat[list(bad)] = list(bad.values())
+    if in_window:
+        chi = window_from_samples(Field(spec, samples), chi.support_box)
+    else:
+        u = Field(spec, samples)
+    what = "window" if in_window else "field"
+    message = f"{what}: {len(bad)} non-finite sample\\(s\\), the first at flat index {min(bad)}$"
+    with pytest.raises(NonFiniteError, match=message):
+        NORM_ENTRY_POINTS[entry](u, chi, p)
 
 
 # ---------------------------------------------------------------------------
