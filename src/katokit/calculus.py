@@ -38,7 +38,6 @@ from .errors import (
 )
 from .grid import (
     Field,
-    Mollifier,
     Window,
     l2_norm,
     make_mollifier,
@@ -51,10 +50,7 @@ from .weights import MultiOrder
 
 __all__ = [
     "Entire",
-    "HalfPlane",
-    "Disc",
     "DiscComplement",
-    "Annulus",
     "GenericDomain",
     "HoloFn",
     "holo_identity",
@@ -100,33 +96,6 @@ class Entire:
 
 
 @dataclass(frozen=True)
-class HalfPlane:
-    """Re z > re_gt."""
-
-    re_gt: float
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        return np.real(z) > self.re_gt
-
-    def complement_distance(self, z: np.ndarray) -> np.ndarray:
-        return np.real(z) - self.re_gt
-
-
-@dataclass(frozen=True)
-class Disc:
-    """|z - center| < radius."""
-
-    center: complex
-    radius: float
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        return np.abs(z - self.center) < self.radius
-
-    def complement_distance(self, z: np.ndarray) -> np.ndarray:
-        return self.radius - np.abs(z - self.center)
-
-
-@dataclass(frozen=True)
 class DiscComplement:
     """|z - center| > radius (the inversion domain)."""
 
@@ -140,38 +109,23 @@ class DiscComplement:
         return np.abs(z - self.center) - self.radius
 
 
-@dataclass(frozen=True)
-class Annulus:
-    """inner < |z - center| < outer."""
-
-    inner: float
-    outer: float
-    center: complex = 0.0
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        rho = np.abs(z - self.center)
-        return (rho > self.inner) & (rho < self.outer)
-
-    def complement_distance(self, z: np.ndarray) -> np.ndarray:
-        rho = np.abs(z - self.center)
-        return np.minimum(rho - self.inner, self.outer - rho)
-
-
 @dataclass(frozen=True, eq=False)
 class GenericDomain:
     """Membership predicate only; distances found by radial bisection.
 
-    For each point a fan of directions is scanned for the nearest boundary
-    crossing (bisected to `radial_tol`), then the best direction is refined
-    by a few parabolic steps in the angle.  Accurate to ~1e-6 for smooth
-    star-shaped complements; `reach` caps the search radius.
+    For each point a fan of DIRECTIONS directions is scanned for the
+    nearest boundary crossing (bisected to RADIAL_TOL), then the best
+    direction is refined by REFINE_ROUNDS parabolic steps in the angle.
+    Accurate to ~1e-6 for smooth star-shaped complements; `reach` caps the
+    search radius.
     """
+
+    DIRECTIONS = 128
+    RADIAL_TOL = 1e-8
+    REFINE_ROUNDS = 3
 
     test: Callable[[np.ndarray], np.ndarray]
     reach: float = 64.0
-    directions: int = 128
-    radial_tol: float = 1e-8
-    refine_rounds: int = 3
 
     def contains(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.test(np.asarray(z)), dtype=bool)
@@ -181,7 +135,7 @@ class GenericDomain:
         lo = np.zeros(z.shape, dtype=float)
         hi = np.full(z.shape, self.reach, dtype=float)
         outside_at_reach = ~self.contains(z + hi * phase)
-        steps = int(math.ceil(math.log2(self.reach / self.radial_tol)))
+        steps = int(math.ceil(math.log2(self.reach / self.RADIAL_TOL)))
         for _ in range(steps):
             mid = 0.5 * (lo + hi)
             inside = self.contains(z + mid * phase)
@@ -192,17 +146,17 @@ class GenericDomain:
     def complement_distance(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
-        angles = np.linspace(0.0, 2.0 * math.pi, self.directions, endpoint=False)
-        dists = np.empty((self.directions, flat.size))
+        angles = np.linspace(0.0, 2.0 * math.pi, self.DIRECTIONS, endpoint=False)
+        dists = np.empty((self.DIRECTIONS, flat.size))
         for i, th in enumerate(angles):
             dists[i] = self._radial_crossing(flat, np.full(flat.shape, np.exp(1j * th)))
         best = np.argmin(dists, axis=0)
-        step = 2.0 * math.pi / self.directions
+        step = 2.0 * math.pi / self.DIRECTIONS
         theta = angles[best]
         d_mid = dists[best, np.arange(flat.size)]
-        d_lo = dists[(best - 1) % self.directions, np.arange(flat.size)]
-        d_hi = dists[(best + 1) % self.directions, np.arange(flat.size)]
-        for _ in range(self.refine_rounds):
+        d_lo = dists[(best - 1) % self.DIRECTIONS, np.arange(flat.size)]
+        d_hi = dists[(best + 1) % self.DIRECTIONS, np.arange(flat.size)]
+        for _ in range(self.REFINE_ROUNDS):
             denom = d_lo - 2.0 * d_mid + d_hi
             shift = np.where(np.abs(denom) > 1e-300, 0.5 * (d_lo - d_hi) / np.where(denom == 0, 1.0, denom), 0.0)
             shift = np.clip(shift, -1.0, 1.0)
@@ -215,7 +169,7 @@ class GenericDomain:
         return d_mid.reshape(z.shape)
 
 
-DomainPart = Entire | HalfPlane | Disc | DiscComplement | Annulus | GenericDomain
+DomainPart = Entire | DiscComplement | GenericDomain
 
 
 def entire_domain(arity: int) -> tuple[DomainPart, ...]:
@@ -224,6 +178,19 @@ def entire_domain(arity: int) -> tuple[DomainPart, ...]:
 
 # ---------------------------------------------------------------------------
 # holomorphic functions
+
+
+def _symmetric_difference(
+    evaluate: Callable[[np.ndarray], np.ndarray], k: int, z: np.ndarray
+) -> np.ndarray:
+    """dPhi/dz_k at the stacked points z by a symmetric difference with
+    relative step 1e-6 (1 + |z_k|)."""
+    step = 1e-6 * (1.0 + np.abs(z[k]))
+    zp = np.array(z, dtype=complex, copy=True)
+    zm = np.array(z, dtype=complex, copy=True)
+    zp[k] = zp[k] + step
+    zm[k] = zm[k] - step
+    return (np.asarray(evaluate(zp)) - np.asarray(evaluate(zm))) / (2.0 * step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +207,6 @@ class HoloFn:
     domain: tuple[DomainPart, ...]
     partials: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
     label: str = "holo"
-    value_at_zero: complex | None = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -254,24 +220,19 @@ class HoloFn:
         """dPhi/dz_k at the stacked points z (shape (d, ...))."""
         if self.partials is not None:
             return np.asarray(self.partials[k](z))
-        step = 1e-6 * (1.0 + np.abs(z[k]))
-        zp = np.array(z, dtype=complex, copy=True)
-        zm = np.array(z, dtype=complex, copy=True)
-        zp[k] = zp[k] + step
-        zm[k] = zm[k] - step
-        return (np.asarray(self.evaluate(zp)) - np.asarray(self.evaluate(zm))) / (2.0 * step)
+        return _symmetric_difference(self.evaluate, k, z)
 
 
 def holo_identity() -> HoloFn:
-    return HoloFn(1, lambda z: z[0], entire_domain(1), (lambda z: np.ones_like(z[0]),), "z", 0.0)
+    return HoloFn(1, lambda z: z[0], entire_domain(1), (lambda z: np.ones_like(z[0]),), "z")
 
 
 def holo_square() -> HoloFn:
-    return HoloFn(1, lambda z: z[0] ** 2, entire_domain(1), (lambda z: 2.0 * z[0],), "z^2", 0.0)
+    return HoloFn(1, lambda z: z[0] ** 2, entire_domain(1), (lambda z: 2.0 * z[0],), "z^2")
 
 
 def holo_exp() -> HoloFn:
-    return HoloFn(1, lambda z: np.exp(z[0]), entire_domain(1), (lambda z: np.exp(z[0]),), "exp", 1.0)
+    return HoloFn(1, lambda z: np.exp(z[0]), entire_domain(1), (lambda z: np.exp(z[0]),), "exp")
 
 
 def holo_reciprocal(lower: float) -> HoloFn:
@@ -284,7 +245,6 @@ def holo_reciprocal(lower: float) -> HoloFn:
         (DiscComplement(0.0, float(lower)),),
         (lambda z: -1.0 / z[0] ** 2,),
         "1/z",
-        None,
     )
 
 
@@ -295,7 +255,6 @@ def holo_product2() -> HoloFn:
         entire_domain(2),
         (lambda z: z[1], lambda z: z[0]),
         "z1*z2",
-        0.0,
     )
 
 
@@ -310,20 +269,8 @@ class PartialReport:
 def _sample_domain(dom: DomainPart, rng: np.random.Generator, count: int) -> np.ndarray:
     if isinstance(dom, Entire):
         return rng.normal(scale=1.5, size=count) + 1j * rng.normal(scale=1.5, size=count)
-    if isinstance(dom, HalfPlane):
-        return (dom.re_gt + 0.1 + np.abs(rng.normal(scale=2.0, size=count))) + 1j * rng.normal(
-            scale=2.0, size=count
-        )
-    if isinstance(dom, Disc):
-        rho = dom.radius * 0.95 * np.sqrt(rng.uniform(size=count))
-        return dom.center + rho * np.exp(2j * math.pi * rng.uniform(size=count))
     if isinstance(dom, DiscComplement):
         rho = dom.radius * 1.05 + np.abs(rng.normal(scale=2.0 * dom.radius + 1.0, size=count))
-        return dom.center + rho * np.exp(2j * math.pi * rng.uniform(size=count))
-    if isinstance(dom, Annulus):
-        lo = dom.inner + 0.02 * (dom.outer - dom.inner)
-        hi = dom.outer - 0.02 * (dom.outer - dom.inner)
-        rho = rng.uniform(lo, hi, size=count)
         return dom.center + rho * np.exp(2j * math.pi * rng.uniform(size=count))
     if isinstance(dom, GenericDomain):
         pts: list[complex] = []
@@ -338,26 +285,22 @@ def _sample_domain(dom: DomainPart, rng: np.random.Generator, count: int) -> np.
     raise HypothesisError(f"unsupported domain factor {dom!r}")
 
 
-def check_partial_consistency(
-    fn: HoloFn, seed: int = 0, points: int = 100, tol: float = 1e-6
-) -> PartialReport:
+_PARTIAL_POINTS = 100
+
+
+def check_partial_consistency(fn: HoloFn, seed: int = 0) -> PartialReport:
     """Supplied partials vs symmetric differences at random in-domain points."""
     if fn.partials is None:
         return PartialReport(0.0, 0, True, True)
     rng = np.random.default_rng(seed)
-    z = np.stack([_sample_domain(dom, rng, points) for dom in fn.domain])
+    z = np.stack([_sample_domain(dom, rng, _PARTIAL_POINTS) for dom in fn.domain])
     worst = 0.0
     for k in range(fn.arity):
         analytic = np.asarray(fn.partials[k](z))
-        step = 1e-6 * (1.0 + np.abs(z[k]))
-        zp = np.array(z, copy=True)
-        zm = np.array(z, copy=True)
-        zp[k] = zp[k] + step
-        zm[k] = zm[k] - step
-        numeric = (np.asarray(fn.evaluate(zp)) - np.asarray(fn.evaluate(zm))) / (2.0 * step)
+        numeric = _symmetric_difference(fn.evaluate, k, z)
         rel = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1.0)
         worst = max(worst, float(np.max(rel)))
-    return PartialReport(worst, points, worst <= tol, False)
+    return PartialReport(worst, _PARTIAL_POINTS, worst <= 1e-6, False)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +405,6 @@ class CalderonResult:
     rho: float
     eps: float
     margin: float
-    margin_snorm: float | None
     drift: float
     pointwise_error: float
     nodes_used: int
@@ -529,7 +471,6 @@ def calderon_apply(
     fields: Sequence[Field],
     fn: HoloFn,
     contour: ContourSpec | None = None,
-    margin_order: MultiOrder | None = None,
 ) -> CalderonResult:
     """Evaluate Phi(u) through the contour representation, with certificates.
 
@@ -600,13 +541,6 @@ def calderon_apply(
                 f"(smoothed range is only {safety:.3g} away); shrink contour_radius_in_r"
             )
 
-    snorm = None
-    if margin_order is not None:
-        snorm = max(
-            h_norm(Field(spec, values[k] - smoothed[k]), margin_order)
-            for k in range(values.shape[0])
-        )
-
     nodes = contour.nodes_per_circle
     h1, h2 = _contour_sums(values, smoothed, fn, rho, nodes)
     drift = float(np.max(np.abs(h2 - h1)))
@@ -629,7 +563,6 @@ def calderon_apply(
         rho=rho,
         eps=eps,
         margin=margin,
-        margin_snorm=snorm,
         drift=drift,
         pointwise_error=pointwise,
         nodes_used=2 * nodes,
@@ -653,19 +586,13 @@ class InversionResult:
     residual: float
     calderon: CalderonResult
     h_norm_value: float | None = None
-    kato_norm_value: float | None = None
 
 
-def invert(
-    u: Field,
-    contour: ContourSpec | None = None,
-    order: MultiOrder | None = None,
-    norm_spec=None,
-) -> InversionResult:
+def invert(u: Field, order: MultiOrder | None = None) -> InversionResult:
     """1/u through the calculus on Omega = {|z| > min|u| / 2}.
 
-    Reports the smoothness norms of the result when asked, as finiteness
-    witnesses for membership of 1/u in the same scale as u.
+    Reports the Sobolev norm of the result when `order` is given, as a
+    finiteness witness for membership of 1/u in the same scale as u.
     """
     c = float(np.min(np.abs(u.samples)))
     if c < _MIN_LOWER_BOUND:
@@ -673,18 +600,13 @@ def invert(
             f"inversion requires min |u| >= {_MIN_LOWER_BOUND}, got {c:.3g}"
         )
     fn = holo_reciprocal(c / 2.0)
-    res = calderon_apply([u], fn, contour, order)
+    res = calderon_apply([u], fn)
     residual = float(np.max(np.abs(u.samples * res.field.samples - 1.0)))
-    tol = (contour or ContourSpec()).tolerance
+    tol = ContourSpec().tolerance
     if residual > tol:
         raise QuadratureError(f"inversion residual sup|u/u - 1| = {residual:.3g} exceeds {tol:.3g}")
     hval = h_norm(res.field, order) if order is not None else None
-    kval = None
-    if norm_spec is not None:
-        from .kato import kato_norm
-
-        kval = kato_norm(res.field, norm_spec)
-    return InversionResult(res.field, c, residual, res, hval, kval)
+    return InversionResult(res.field, c, residual, res, hval)
 
 
 @dataclass(frozen=True)
@@ -696,14 +618,10 @@ class DivisionResult:
     inversion: InversionResult
 
 
-def divide(
-    u: Field,
-    v: Field,
-    cutoff: Window | Field,
-    c: float,
-    contour: ContourSpec | None = None,
-    tol: float = 1e-7,
-) -> DivisionResult:
+_DIVISION_TOL = 1e-7
+
+
+def divide(u: Field, v: Field, cutoff: Window | Field, c: float) -> DivisionResult:
     """u / v where v is bounded below on a cutoff neighborhood of supp u.
 
     Builds w = phi |v|^2 + c^2 (1 - phi) / 4 >= c^2 / 4 and returns
@@ -734,13 +652,13 @@ def divide(
     floor = float(np.min(w))
     if floor < 0.25 * c**2 * (1.0 - 1e-12):
         raise HypothesisError(f"w floor {floor:.3g} fell below c^2/4 = {0.25 * c ** 2:.3g}")
-    inv = invert(Field(u.spec, w), contour)
+    inv = invert(Field(u.spec, w))
     result = np.conj(v.samples) * u.samples * inv.field.samples
     residual = 0.0
     if bool(np.any(supp_u)):
         residual = float(np.max(np.abs((result * v.samples - u.samples)[supp_u])))
-    if residual > tol:
-        raise QuadratureError(f"division residual {residual:.3g} exceeds {tol:.3g} on supp u")
+    if residual > _DIVISION_TOL:
+        raise QuadratureError(f"division residual {residual:.3g} exceeds {_DIVISION_TOL:.3g} on supp u")
     return DivisionResult(
         field=Field(u.spec, result),
         floor=floor,
@@ -757,14 +675,9 @@ class ChainRuleReport:
     passed: bool
 
 
-def chain_rule_check(
-    fields: Sequence[Field],
-    fn: HoloFn,
-    contour: ContourSpec | None = None,
-    tol: float = 1e-6,
-) -> ChainRuleReport:
+def chain_rule_check(fields: Sequence[Field], fn: HoloFn) -> ChainRuleReport:
     """d_j Phi(u) = sum_k dPhi/dz_k(u) d_j u_k, spectral vs sample-wise."""
-    res = calderon_apply(fields, fn, contour)
+    res = calderon_apply(fields, fn)
     values = _stack_values(fields)
     spec = fields[0].spec
     parts = [np.asarray(fn.partial_at(k, values)) for k in range(fn.arity)]
@@ -777,7 +690,7 @@ def chain_rule_check(
         den = max(l2_norm(Field(spec, rhs)), 1e-300)
         rels.append(l2_norm(Field(spec, lhs - rhs)) / den)
     worst = max(rels)
-    return ChainRuleReport(tuple(rels), worst, worst <= tol)
+    return ChainRuleReport(tuple(rels), worst, worst <= 1e-6)
 
 
 @dataclass(frozen=True)
@@ -789,16 +702,13 @@ class WitnessReport:
     witnesses: tuple[Field, ...] | None
 
 
-def joint_spectrum_witness(
-    fields: Sequence[Field],
-    lam: Sequence[complex],
-    contour: ContourSpec | None = None,
-    tol_delta: float = 1e-6,
-    tol_residual: float = 1e-8,
-) -> WitnessReport:
+_WITNESS_RESIDUAL_TOL = 1e-8
+
+
+def joint_spectrum_witness(fields: Sequence[Field], lam: Sequence[complex]) -> WitnessReport:
     """Witness fields v_k with sum_k v_k (u_k - lambda_k) = 1, or a refusal.
 
-    A point lambda within tol_delta (sup-norm) of the sampled range admits
+    A point lambda within 1e-6 (sup-norm) of the sampled range admits
     no stable witness; the report then carries status "refused" and the
     measured minimum of the quadratic sum_k |u_k - lambda_k|^2.
     """
@@ -810,16 +720,16 @@ def joint_spectrum_witness(
     quad = np.sum(np.abs(diffs) ** 2, axis=0)
     delta_inf = float(np.min(np.max(np.abs(diffs), axis=0)))
     min_quad = float(np.min(quad))
-    if delta_inf < tol_delta or min_quad < _MIN_LOWER_BOUND:
+    if delta_inf < 1e-6 or min_quad < _MIN_LOWER_BOUND:
         return WitnessReport("refused", delta_inf, min_quad, None, None)
-    inv = invert(Field(spec, quad), contour)
+    inv = invert(Field(spec, quad))
     witnesses = tuple(Field(spec, np.conj(diffs[k]) * inv.field.samples) for k in range(len(fields)))
     combo = np.zeros(spec.shape, dtype=np.complex128)
     for k in range(len(fields)):
         combo += witnesses[k].samples * diffs[k]
     residual = float(np.max(np.abs(combo - 1.0)))
-    if residual > tol_residual:
-        raise QuadratureError(f"witness residual {residual:.3g} exceeds {tol_residual:.3g}")
+    if residual > _WITNESS_RESIDUAL_TOL:
+        raise QuadratureError(f"witness residual {residual:.3g} exceeds {_WITNESS_RESIDUAL_TOL:.3g}")
     return WitnessReport("witness", delta_inf, min_quad, residual, witnesses)
 
 
@@ -831,12 +741,11 @@ class CompositeContinuityReport:
     skipped: tuple[float, ...] = ()
 
 
+_MONOTONE_SLACK = 1e-10
+
+
 def composite_continuity_check(
-    fields: Sequence[Field],
-    fn: HoloFn,
-    epsilons: Sequence[float],
-    mollifier: Mollifier | None = None,
-    slack: float = 1e-10,
+    fields: Sequence[Field], fn: HoloFn, epsilons: Sequence[float]
 ) -> CompositeContinuityReport:
     """sup |Phi(phi_eps * u) - Phi(u)| decreases along a decreasing eps sweep.
 
@@ -848,7 +757,7 @@ def composite_continuity_check(
     range_distance(fields, fn.domain)
     spec = fields[0].spec
     values = _stack_values(fields)
-    base = mollifier or make_mollifier(spec, 1.0, 1.0)
+    base = make_mollifier(spec, 1.0, 1.0)
     floor = min_resolvable_epsilon(spec, base.radius)
     requested = sorted((float(e) for e in epsilons), reverse=True)
     eps_sorted = [e for e in requested if e >= floor]
@@ -865,5 +774,8 @@ def composite_continuity_check(
         range_distance(smoothed, fn.domain)
         gaps.append(float(np.max(np.abs(np.asarray(fn.evaluate(_stack_values(smoothed))) - direct))))
     scale = max(max(gaps), 1e-300)
-    mono = all(gaps[i + 1] <= gaps[i] * (1.0 + slack) + slack * scale for i in range(len(gaps) - 1))
+    mono = all(
+        gaps[i + 1] <= gaps[i] * (1.0 + _MONOTONE_SLACK) + _MONOTONE_SLACK * scale
+        for i in range(len(gaps) - 1)
+    )
     return CompositeContinuityReport(tuple(eps_sorted), tuple(gaps), mono, dropped)

@@ -95,12 +95,10 @@ def critical_sample(
     return SpectralSample(kmax, coeffs / mass, f"critical-s{s}")
 
 
-def spectral_ensemble(
-    seed: int, count: int, dim: int, kmax: int = 10, decay: float = 1.5
-) -> list[SpectralSample]:
+def spectral_ensemble(seed: int, count: int, dim: int, kmax: int = 10) -> list[SpectralSample]:
     streams = np.random.SeedSequence(seed).spawn(count)
     return [
-        sample_band_limited(np.random.default_rng(ss), dim, kmax, decay, f"bandlimited-{i}")
+        sample_band_limited(np.random.default_rng(ss), dim, kmax, label=f"bandlimited-{i}")
         for i, ss in enumerate(streams)
     ]
 
@@ -116,23 +114,21 @@ def realize_ensemble(samples: list[SpectralSample], spec: GridSpec) -> list[Fiel
     return [s.realize(spec) for s in samples]
 
 
-def positive_field(spec: GridSpec, seed: int, kmax: int = 8, offset: float = 2.0) -> Field:
-    """Smooth real field bounded below by offset - 1 (default min >= 1)."""
+def positive_field(spec: GridSpec, seed: int, kmax: int = 8) -> Field:
+    """Smooth real field bounded below by 1."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     sample = sample_band_limited(rng, spec.dim, kmax, decay=1.8, label="positive")
     vals = sample.realize(spec).samples
-    return Field(spec, offset + np.real(vals))
+    return Field(spec, 2.0 + np.real(vals))
 
 
 def modulated_gaussian_values(
     spec: GridSpec,
     rng: np.random.Generator,
-    components: int = 2,
     center_box: tuple[float, float] = (1.0, 9.0),
     width_range: tuple[float, float] = (0.8, 1.5),
-    modulation_max: float = 1.5,
 ) -> np.ndarray:
-    """Sum of periodized modulated Gaussian bumps at absolute positions.
+    """Sum of two periodized modulated Gaussian bumps at absolute positions.
 
     Positions, widths and modulation frequencies are drawn once; the values
     are evaluated through wrapped displacements, so the same draw defines
@@ -140,11 +136,11 @@ def modulated_gaussian_values(
     """
     coords = [np.asarray(c) for c in coordinate_axes(spec)]
     total = np.zeros(spec.shape, dtype=np.complex128)
-    for _ in range(components):
+    for _ in range(2):
         amp = rng.uniform(0.5, 1.0)
         centers = rng.uniform(center_box[0], center_box[1], size=spec.dim)
         widths = rng.uniform(width_range[0], width_range[1], size=spec.dim)
-        omega = rng.uniform(-modulation_max, modulation_max, size=spec.dim)
+        omega = rng.uniform(-1.5, 1.5, size=spec.dim)
         bump = np.ones(spec.shape, dtype=np.complex128)
         for axis in range(spec.dim):
             disp = np.mod(coords[axis] - centers[axis] + 0.5 * spec.period, spec.period) - 0.5 * spec.period

@@ -48,7 +48,7 @@ from .grid import (
     window_from_samples,
 )
 from .sobolev import PartitionOfUnity, h_norm, weight_mesh
-from .weights import MultiOrder, SigmaParams
+from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
 
 __all__ = [
     "ContinuousScheme",
@@ -300,15 +300,14 @@ def window_ratio_check(
     p: float,
     window: Window,
     other: Window,
-    scheme: ContinuousScheme | LatticeScheme | None = None,
 ) -> WindowRatioReport:
     """Norm ratios under two admissible windows over a field ensemble.
 
     Window independence of the space means these ratios stay in a fixed
     bracket; the report records the empirical spread.
     """
-    spec_a = amalgam_spec(order, p, window, scheme)
-    spec_b = amalgam_spec(order, p, other, scheme)
+    spec_a = amalgam_spec(order, p, window)
+    spec_b = amalgam_spec(order, p, other)
     ratios = []
     for f in fields:
         a = kato_norm(f, spec_a)
@@ -326,14 +325,15 @@ class EmbeddingChainReport:
     order_norms: tuple[float, float]
 
 
+_CHAIN_TOL = 1e-12
+
+
 def embedding_chain_check(
     field: Field,
     order: MultiOrder,
     lower: MultiOrder,
     p_values: Sequence[float],
     window: Window,
-    cells_per_axis: int = 4,
-    tol: float = 1e-12,
 ) -> EmbeddingChainReport:
     """Exact monotonicity: lattice norms decrease in p and increase in order.
 
@@ -343,12 +343,12 @@ def embedding_chain_check(
     if not order.dominates(lower):
         raise HypothesisError("order chain requires lower <= order componentwise")
     ps = sorted(float(p) for p in p_values)
-    scheme = LatticeScheme(cells_per_axis)
+    scheme = LatticeScheme()
     norms = tuple(kato_norm(field, amalgam_spec(order, p, window, scheme)) for p in ps)
-    p_ok = all(norms[i + 1] <= norms[i] * (1.0 + tol) for i in range(len(norms) - 1))
+    p_ok = all(norms[i + 1] <= norms[i] * (1.0 + _CHAIN_TOL) for i in range(len(norms) - 1))
     hi = kato_norm(field, amalgam_spec(order, 2.0, window, scheme))
     lo = kato_norm(field, amalgam_spec(lower, 2.0, window, scheme))
-    order_ok = lo <= hi * (1.0 + tol)
+    order_ok = lo <= hi * (1.0 + _CHAIN_TOL)
     return EmbeddingChainReport(p_ok, order_ok, tuple(ps), norms, (lo, hi))
 
 
@@ -372,7 +372,6 @@ def kato_product_check(
     p: float,
     q: float,
     window: Window,
-    scheme: ContinuousScheme | LatticeScheme | None = None,
 ) -> KatoProductReport:
     """Amalgam Hoelder bound ||u v||_{sigma,r,chi^2} <= C ||u||_{s,p,chi} ||v||_{t,q,chi}.
 
@@ -393,11 +392,9 @@ def kato_product_check(
     chi_sq = window_from_samples(
         Field(window.spec, window.field.samples**2), window.support_box, "squared"
     )
-    spec_u = amalgam_spec(params.s, p, window, scheme)
-    spec_v = amalgam_spec(params.t, q, window, scheme)
-    spec_uv = amalgam_spec(params.sigma, r, chi_sq, scheme)
-    from .weights import weight_conv_constant_total
-
+    spec_u = amalgam_spec(params.s, p, window)
+    spec_v = amalgam_spec(params.t, q, window)
+    spec_uv = amalgam_spec(params.sigma, r, chi_sq)
     scale = (window.spec.period / (2.0 * math.pi)) ** window.spec.dim
     reference = math.sqrt(scale * weight_conv_constant_total(params))
     ratios = []
@@ -413,20 +410,20 @@ def kato_product_check(
 # retraction / coretraction onto lattice pieces
 
 
-def make_retraction_window(partition: PartitionOfUnity, margin: float = 0.1) -> Window:
+def make_retraction_window(partition: PartitionOfUnity) -> Window:
     """Plateau window equal to 1 on a neighborhood of the master bump support.
 
     The master support spans cell coordinates [-1/12, 13/12]; the plateau
-    extends `margin` cells beyond it and the support another half cell,
-    which stays shorter than one period for 2 or more cells per axis.
+    extends 0.1 cells beyond it and the support another half cell, which
+    stays shorter than one period for 3 or more cells per axis.
     """
     ell = partition.cell_side
-    plo = (-1.0 / 12.0 - margin) * ell
-    phi = (13.0 / 12.0 + margin) * ell
+    plo = (-1.0 / 12.0 - 0.1) * ell
+    phi = (13.0 / 12.0 + 0.1) * ell
     lo = plo - 0.5 * ell
     hi = phi + 0.5 * ell
     if hi - lo >= partition.spec.period:
-        raise ShapeError("retraction window does not fit on the torus; reduce the margin")
+        raise ShapeError("retraction window does not fit on the torus; use more lattice cells")
     spec = partition.spec
     coords = coordinate_axes(spec)
     samples = np.ones(spec.shape, dtype=float)
@@ -445,7 +442,6 @@ def make_retraction_window(partition: PartitionOfUnity, margin: float = 0.1) -> 
 class RetractionReport:
     roundtrip_sup_err: float
     section_norm: float
-    assembled_norm: float
     reference_norm: float
     passed: bool
 
@@ -454,8 +450,6 @@ def retraction_roundtrip(
     field: Field,
     partition: PartitionOfUnity,
     order: MultiOrder,
-    p: float = 2.0,
-    wide: Window | None = None,
     tol: float = 1e-10,
 ) -> RetractionReport:
     """Slice u into lattice pieces and reassemble: R_chi(S u) = u exactly.
@@ -466,7 +460,7 @@ def retraction_roundtrip(
     """
     if field.spec != partition.spec:
         raise ShapeError("field and partition must share a grid")
-    chi = wide or make_retraction_window(partition)
+    chi = make_retraction_window(partition)
     spec = field.spec
     assembled = np.zeros(spec.shape, dtype=np.complex128)
     norms_p: list[float] = []
@@ -476,14 +470,12 @@ def retraction_roundtrip(
         norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
     arr = np.asarray(norms_p)
-    section = float(np.max(arr)) if math.isinf(p) else float(np.sum(arr**p) ** (1.0 / p))
-    assembled_norm = h_norm(Field(spec, assembled), order)
+    section = float(np.sum(arr**2.0) ** 0.5)
     reference = h_norm(field, order)
     scale = max(float(np.max(np.abs(field.samples))), 1e-300)
     return RetractionReport(
         roundtrip_sup_err=err,
         section_norm=section,
-        assembled_norm=assembled_norm,
         reference_norm=reference,
         passed=err <= tol * scale,
     )
@@ -511,8 +503,6 @@ def mollifier_rate_check(
     moll: Mollifier,
     epsilons: Sequence[float],
     window: Window | None = None,
-    bound_tol: float = 1e-10,
-    young_tol: float = 1e-10,
 ) -> MollifierRateReport:
     """Approximation rate and stability of mollification.
 
@@ -546,9 +536,9 @@ def mollifier_rate_check(
         if sup_spec is not None:
             kernel_mass = field.spec.cell_volume * float(np.sum(mollifier_kernel(m).samples.real))
             lhs = kato_norm(smoothed, sup_spec)
-            if lhs > kernel_mass * u_ul * (1.0 + young_tol):
+            if lhs > kernel_mass * u_ul * (1.0 + 1e-10):
                 young_ok = False
-    bound_ok = all(e <= b * (1.0 + bound_tol) for e, b in zip(errors, bounds))
+    bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(errors, bounds))
     logs_e = np.log(np.asarray(errors))
     logs_x = np.log(np.asarray([float(e) for e in epsilons]))
     slope = float(np.polyfit(logs_x, logs_e, 1)[0])

@@ -26,6 +26,7 @@ Schatten bound is trusted.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -422,8 +423,6 @@ def isometry_from_matrix(mat: np.ndarray) -> GridIsometry:
 
 def all_isometries(dim: int) -> list[GridIsometry]:
     """Every signed axis permutation in the given dimension."""
-    import itertools
-
     out = []
     for perm in itertools.permutations(range(dim)):
         for signs in itertools.product((1, -1), repeat=dim):
@@ -513,20 +512,18 @@ class TauSweepReport:
     monotone_ok: bool
 
 
-def tau_sweep_check(
-    symbol: Symbol,
-    p: float,
-    taus: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    slack: float = 0.10,
-) -> TauSweepReport:
-    """Continuity probe of tau -> Op_tau(a) along a scalar sweep.
+_TAU_SWEEP = (0.0, 0.25, 0.5, 0.75, 1.0)
+_SWEEP_SLACK = 0.10
+
+
+def tau_sweep_check(symbol: Symbol, p: float) -> TauSweepReport:
+    """Continuity probe of tau -> Op_tau(a) along the scalar sweep _TAU_SWEEP.
 
     The Schatten-p distance from the first sweep point should grow with
     |tau - tau_0| (non-strict, multiplicative slack): smaller steps give
     smaller moves.
     """
-    taus = tuple(float(t) for t in taus)
-    ops = [quantize(symbol, t) for t in taus]
+    ops = [quantize(symbol, t) for t in _TAU_SWEEP]
     base = ops[0]
     gaps = []
     for op in ops:
@@ -536,5 +533,8 @@ def tau_sweep_check(
         )
         gaps.append(schatten_norm(diff, p))
     scale = max(max(gaps), 1e-300)
-    mono = all(gaps[i + 1] >= gaps[i] * (1.0 - slack) - slack * scale for i in range(len(gaps) - 1))
-    return TauSweepReport(taus, tuple(gaps), mono)
+    mono = all(
+        gaps[i + 1] >= gaps[i] * (1.0 - _SWEEP_SLACK) - _SWEEP_SLACK * scale
+        for i in range(len(gaps) - 1)
+    )
+    return TauSweepReport(_TAU_SWEEP, tuple(gaps), mono)

@@ -34,9 +34,10 @@ from .grid import (
     from_spectrum,
     gather_translates,
     lattice_shifts,
+    require_finite,
     to_spectrum,
 )
-from .weights import MultiOrder
+from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
 
 __all__ = [
     "weight_mesh",
@@ -88,7 +89,10 @@ def bessel_apply(field: Field, order: MultiOrder) -> Field:
 
 
 def h_norm(field: Field, order: MultiOrder) -> float:
-    """Sobolev norm of order s; equals the discrete L^2 norm at s = 0."""
+    """Sobolev norm of order s; equals the discrete L^2 norm at s = 0.
+
+    Raises NonFiniteError when a sample is NaN or infinite."""
+    require_finite(field.samples, "field")
     w = weight_mesh(field.spec, order)
     coeffs = to_spectrum(field)
     total = float(np.sum((w * np.abs(coeffs)) ** 2))
@@ -151,18 +155,11 @@ def window_multiplier_constant(chi: Field, order: MultiOrder) -> float:
     return float(2.0 ** (0.5 * order.total_abs) * np.sum(flat * coeffs))
 
 
-@functools.lru_cache(maxsize=128)
 def multi_order_total_mesh(spec: GridSpec, exponent: float) -> np.ndarray:
-    """<xi_k>^{exponent} with the full (unblocked) bracket, FFT order."""
-    freqs = frequency_axes(spec)
-    sq = np.zeros(spec.shape, dtype=float)
-    for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        sq = sq + (freqs[axis] ** 2).reshape(shape)
-    out = (1.0 + sq) ** (0.5 * exponent)
-    out.flags.writeable = False
-    return out
+    """<xi_k>^{exponent} with the full (unblocked) bracket, FFT order: the
+    block weight of the one-block grid."""
+    one_block = GridSpec(spec.dim, spec.samples_per_axis, spec.period, (spec.dim,))
+    return weight_mesh(one_block, MultiOrder((exponent,), (spec.dim,)))
 
 
 def periodic_multiplier_constant(chi: Field, order: MultiOrder) -> float:
@@ -193,7 +190,6 @@ def product_bound_check(
     order: MultiOrder,
     mode: str = "window",
     params=None,
-    slack: float = 1e-8,
 ) -> ProductBoundReport:
     """Check one of the product estimates on concrete fields.
 
@@ -205,8 +201,6 @@ def product_bound_check(
                           `chi` carries the second factor and `order` the
                           first factor's order (params.s).
     """
-    from .weights import SigmaParams, weight_conv_constant_total  # local to avoid cycle noise
-
     if u.spec != chi.spec:
         raise ShapeError("fields must share a grid")
     spec = u.spec
@@ -219,7 +213,7 @@ def product_bound_check(
             const = periodic_multiplier_constant(chi, order)
         bound = const * base
         ratio = lhs / max(bound, 1e-300)
-        return ProductBoundReport(mode, lhs, base, const, ratio, ratio <= 1.0 + slack)
+        return ProductBoundReport(mode, lhs, base, const, ratio, ratio <= 1.0 + 1e-8)
     if mode == "sobolev_pair":
         if not isinstance(params, SigmaParams):
             raise HypothesisError("sobolev_pair mode requires SigmaParams")
@@ -241,6 +235,11 @@ def product_bound_check(
 # twisted periodization over a sub-lattice
 
 
+# Tolerance of the twisted-periodization and partition-of-unity identities,
+# which hold to rounding error.
+_EXACTNESS_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class TwistedPeriodizationReport:
     field: Field
@@ -253,10 +252,7 @@ class TwistedPeriodizationReport:
 
 
 def twisted_periodization(
-    window: Window,
-    theta: Sequence[float] | float,
-    cells_per_axis: int = 4,
-    tol: float = 1e-10,
+    window: Window, theta: Sequence[float] | float, cells_per_axis: int = 4
 ) -> TwistedPeriodizationReport:
     """Phase-twisted lattice periodization phi_theta = sum_g e^{i<g,theta>} tau_{lg} phi.
 
@@ -305,7 +301,7 @@ def twisted_periodization(
     got = coeffs[mask]
     scale = float(np.max(np.abs(expected))) if expected.size else 1.0
     on_err = float(np.max(np.abs(got - expected))) / max(scale, 1e-300)
-    passed = off_ratio <= tol and on_err <= tol
+    passed = off_ratio <= _EXACTNESS_TOL and on_err <= _EXACTNESS_TOL
     return TwistedPeriodizationReport(
         field=twisted,
         theta=tuple(float(v) for v in theta_arr),
@@ -353,7 +349,7 @@ def _axis_master_profile(t: np.ndarray) -> np.ndarray:
     return axis_bump_values(t, 0.25, 0.75, (1.0 / 3.0, 2.0 / 3.0))
 
 
-def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10) -> PartitionOfUnity:
+def build_partition(spec: GridSpec, cells_per_axis: int = 4) -> PartitionOfUnity:
     """Construct the shifted-bump partition of unity on the lattice cells."""
     lam = int(cells_per_axis)
     n_samp = spec.samples_per_axis
@@ -410,7 +406,7 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10)
     total = np.zeros(spec.shape, dtype=float)
     for chi in periodized:
         total += chi.samples.real
-    if float(np.max(np.abs(total - 1.0))) > tol:
+    if float(np.max(np.abs(total - 1.0))) > _EXACTNESS_TOL:
         raise PartitionError("periodized pieces do not sum to 1 within tolerance")
 
     master_samples = np.zeros(spec.shape, dtype=float)
@@ -423,7 +419,7 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4, tol: float = 1e-10)
     master_periodized = np.zeros(spec.shape, dtype=float)
     for y in lattice:
         master_periodized += gather_translates(master.translate_tile, y)
-    if float(np.max(np.abs(master_periodized - 1.0))) > tol:
+    if float(np.max(np.abs(master_periodized - 1.0))) > _EXACTNESS_TOL:
         raise PartitionError("master bump lattice periodization is not 1 within tolerance")
 
     return PartitionOfUnity(
@@ -464,7 +460,7 @@ class SupBoundReport:
     passed: bool
 
 
-def rl_sup_bound_check(field: Field, order: MultiOrder, tol: float = 1e-12) -> SupBoundReport:
+def rl_sup_bound_check(field: Field, order: MultiOrder) -> SupBoundReport:
     """Chain sup|u| <= sum_k |c_k| <= W ||u||_{H^s}, W = (sum <<xi_k>>^{-2s})^{1/2} L^{-n/2}.
 
     Requires s_l > n_l / 2 per block so the weight sum is the discretization
@@ -481,5 +477,5 @@ def rl_sup_bound_check(field: Field, order: MultiOrder, tol: float = 1e-12) -> S
     w = weight_mesh(spec, order)
     weight_sum = float(np.sum(w**-2.0))
     bound = math.sqrt(weight_sum) * spec.period ** (-spec.dim / 2.0) * h_norm(field, order)
-    passed = sup <= l1 * (1.0 + tol) + 1e-300 and l1 <= bound * (1.0 + tol) + 1e-300
+    passed = sup <= l1 * (1.0 + 1e-12) + 1e-300 and l1 <= bound * (1.0 + 1e-12) + 1e-300
     return SupBoundReport(sup=sup, spectral_l1=l1, weighted_bound=bound, passed=passed)

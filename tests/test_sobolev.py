@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from katokit.ensembles import realize_ensemble, spectral_ensemble
-from katokit.errors import HypothesisError, ShapeError
+from katokit.errors import HypothesisError, NonFiniteError, ShapeError
 from katokit.grid import (
     Field,
     constant_field,
@@ -166,6 +166,17 @@ def test_h_norm_order_must_match_blocks():
     spec = make_grid(2, 16, blocks=(1, 1))
     with pytest.raises(ShapeError):
         h_norm(constant_field(spec), multi_order(1.0, (2,)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_h_norm_refuses_non_finite_sample(bad):
+    # refused, naming the count and the first flat index, instead of
+    # answered with nan
+    spec = make_grid(1, 64)
+    samples = rng_field(spec, 5).samples.copy()
+    samples[3] = bad
+    with pytest.raises(NonFiniteError, match=r"field: 1 non-finite sample\(s\), the first at flat index 3$"):
+        h_norm(Field(spec, samples), multi_order(1.0, (1,)))
 
 
 # ---------------------------------------------------------------------------
