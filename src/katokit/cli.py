@@ -23,7 +23,8 @@ FAILs, 2 for usage errors, malformed configuration, or configurations that
 violate a hypothesis of the requested check.  ``verify`` runs the suites in
 order and writes each suite's files as soon as it finishes; a suite that
 raises a ``KatokitError`` is named under ``errors`` in ``summary.json``,
-the remaining suites still run, and the exit code is 2.
+the remaining suites still run, the overall verdict is FAIL and the exit
+code is 2.
 
 Reports are byte-reproducible for a fixed seed and configuration except
 for the ``environment`` key.
@@ -46,7 +47,6 @@ import numpy as np
 from . import __version__
 from .errors import ContourConfigError, HypothesisError, KatokitError
 from .grid import (
-    Field,
     GridSpec,
     coordinate_axes,
     field_from_values,
@@ -1137,7 +1137,8 @@ def cmd_verify(args) -> int:
             _write_plot_csv(out / fname, header, rows)
         verdicts[sid] = report["verdict"]
         print(f"{sid:24s} {report['verdict']}")
-    overall = _aggregate(list(verdicts.values()))
+    # a suite that raised has no verdict; a run with one must not read PASS
+    overall = FAIL if errors else _aggregate(list(verdicts.values()))
     summary = {"verdicts": verdicts, "overall": overall, "seed": base_seed}
     if errors:
         summary["errors"] = errors

@@ -57,6 +57,7 @@ __all__ = [
     "pointwise_mul",
     "smooth_step",
     "make_bump",
+    "window_from_factors",
     "window_from_samples",
     "make_mollifier",
     "mollifier_kernel",
@@ -249,7 +250,7 @@ def translate(field: Field, y: Sequence[float] | float) -> Field:
     yvec = _as_shift_vector(spec, y)
     steps = yvec / spec.spacing
     rounded = np.rint(steps)
-    if np.all(np.abs(steps - rounded) <= 1e-9):
+    if np.all(np.abs(steps - rounded) <= 1e-12):
         shifts = tuple(int(r) % spec.samples_per_axis for r in rounded)
         return Field(spec, np.roll(field.samples, shifts, axis=tuple(range(spec.dim))))
     mesh = frequency_mesh(spec)
@@ -350,18 +351,33 @@ class Window:
 
     `support_box` holds per-axis (lo, hi) in physical coordinates; boxes may
     wrap around the torus but must be shorter than one period per axis.
+    `axis_factors`, when given, are real per-axis profiles f_a whose product
+    f_0(x_0) ... f_{n-1}(x_{n-1}), formed as `make_bump` forms it, must equal
+    the samples bit for bit; windowed spectra then transform in two stages.
     """
 
     field: Field
     support_box: tuple[tuple[float, float], ...]
     profile_id: str = "plateau"
+    axis_factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.support_box) != self.field.spec.dim:
+        spec = self.field.spec
+        if len(self.support_box) != spec.dim:
             raise ShapeError("support_box must list one (lo, hi) pair per axis")
         for lo, hi in self.support_box:
-            if not hi > lo or hi - lo >= self.field.spec.period:
+            if not hi > lo or hi - lo >= spec.period:
                 raise GridError(f"support interval ({lo}, {hi}) must be shorter than one period")
+        if self.axis_factors is None:
+            return
+        factors = tuple(np.array(f, dtype=float) for f in self.axis_factors)
+        if len(factors) != spec.dim or any(f.shape != (spec.samples_per_axis,) for f in factors):
+            raise ShapeError(f"axis_factors must be {spec.dim} profiles of {spec.samples_per_axis} samples")
+        if not np.array_equal(_bits(_outer_product(factors)), _bits(self.field.samples)):
+            raise ShapeError("axis_factors do not reproduce the window samples bit for bit")
+        for f in factors:
+            f.flags.writeable = False
+        object.__setattr__(self, "axis_factors", factors)
 
     @property
     def spec(self) -> GridSpec:
@@ -377,6 +393,32 @@ class Window:
         samples = self.field.samples
         return tile_translates(samples if np.any(samples.imag) else samples.real)
 
+    @functools.cached_property
+    def factor_tiles(self) -> tuple[np.ndarray, ...]:
+        """`tile_translates` of each axis factor, held complex: a product of
+        two complex arrays is quicker than a mixed one and rounds to the same
+        bits.  A window without factors, or with one (1-D), is one factor
+        over every axis: its `translate_tile`, which gathers half the bytes."""
+        if self.axis_factors is None or len(self.axis_factors) == 1:
+            return (self.translate_tile,)
+        return tuple(tile_translates(f.astype(np.complex128)) for f in self.axis_factors)
+
+
+def _outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """f_0(x_0) f_1(x_1) ... f_{n-1}(x_{n-1}), multiplied in from the first axis."""
+    dim = len(factors)
+    samples = np.ones((factors[0].size,) * dim, dtype=float)
+    for axis, vals in enumerate(factors):
+        shape = [1] * dim
+        shape[axis] = -1
+        samples = samples * vals.reshape(shape)
+    return samples
+
+
+def _bits(samples: np.ndarray) -> np.ndarray:
+    """The bit patterns of `samples` as complex128, for bit-for-bit comparison."""
+    return np.ascontiguousarray(samples, dtype=np.complex128).view(np.uint64)
+
 
 def make_bump(
     spec: GridSpec,
@@ -388,6 +430,7 @@ def make_bump(
     Without a plateau the per-axis profile is the canonical bump
     exp(1 - 1/(1-t^2)); with one, a smooth-step rise/fall that is exactly 1
     on the plateau box.  Samples vanish exactly outside the support box.
+    The per-axis profiles are kept as the window's `axis_factors`.
     """
     support = tuple((float(lo), float(hi)) for lo, hi in support_box)
     if len(support) != spec.dim:
@@ -405,16 +448,24 @@ def make_bump(
                 raise GridError(f"plateau ({plo}, {phi}) must nest strictly inside support ({lo}, {hi})")
 
     coords = coordinate_axes(spec)
-    samples = np.ones(spec.shape, dtype=float)
-    for axis in range(spec.dim):
-        lo, hi = support[axis]
-        plate = plateaus[axis] if plateaus is not None else None
-        vals = axis_bump_values(coords[axis], lo, hi, plate)
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        samples = samples * vals.reshape(shape)
-    profile = "canonical" if plateaus is None else "plateau"
-    return Window(Field(spec, samples), support, profile)
+    factors = tuple(
+        axis_bump_values(coords[axis], lo, hi, plateaus[axis] if plateaus is not None else None)
+        for axis, (lo, hi) in enumerate(support)
+    )
+    return window_from_factors(spec, factors, support, "canonical" if plateaus is None else "plateau")
+
+
+def window_from_factors(
+    spec: GridSpec,
+    factors: Sequence[np.ndarray],
+    support_box: Sequence[tuple[float, float]],
+    profile_id: str,
+) -> Window:
+    """The tensor-product window f_0(x_0) ... f_{n-1}(x_{n-1}) of real
+    per-axis profiles, which it keeps as its `axis_factors`."""
+    factors = tuple(factors)
+    box = tuple((float(a), float(b)) for a, b in support_box)
+    return Window(Field(spec, _outer_product(factors)), box, profile_id, factors)
 
 
 def window_from_samples(

@@ -11,7 +11,10 @@ At p = infinity the norm is the max over the translation grid, a lower
 bound for the true sup, which is how it is reported.
 
 Two routes evaluate the translation sum.  The physical route transforms
-each translate u . tau_y chi: G FFTs of N^n points for G shifts.  At p = 2
+each translate u . tau_y chi: G FFTs of N^n points for G shifts.  With a
+tensor-product window consecutive translates that share a leading shift
+share the transform over the leading axes, and each translate is left
+with a transform along the last axis only (`windowed_spectra`).  At p = 2
 on the full translation grid (every sample shift, G = N^n) the sum over y
 closes in frequency space,
 
@@ -25,6 +28,7 @@ physical route.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -45,6 +49,7 @@ from .grid import (
     mollify,
     require_finite,
     rescaled,
+    window_from_factors,
     window_from_samples,
 )
 from .sobolev import PartitionOfUnity, h_norm, weight_mesh
@@ -150,12 +155,43 @@ _BLOCK_ELEMENTS = 1 << 15
 
 def windowed_spectra(field: Field, window: Window, shifts: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficients c_k(u . tau_y chi) for each shift, shape (G, N, .., N),
-    written into `out` (complex, of that shape) when it is given."""
+    written into `out` (complex, of that shape) when it is given.
+
+    A window known by its axis factors, chi = f_0(x_0) ... f_{n-1}(x_{n-1}),
+    is applied in two stages.  Once per run of consecutive shifts with the
+    same leading shift (y_0 .. y_{n-2}), u times the leading factors is
+    transformed over the leading axes; per shift, that times the last
+    factor's translate is transformed along the last axis.  A window
+    without factors, or a 1-D one, is the one factor over every axis: no
+    leading stage, one n-D transform per shift.
+    """
     if field.spec != window.spec:
         raise ShapeError("field and window must share a grid")
     spec = field.spec
-    block = np.multiply(gather_translates(window.translate_tile, shifts), field.samples, out=out)
-    return np.fft.fftn(block, axes=tuple(range(1, spec.dim + 1)), norm="forward", out=block)
+    tiles = window.factor_tiles
+    lead = len(tiles) - 1
+    shifts = np.asarray(shifts)
+    count = shifts.shape[0]
+    if out is None:
+        out = np.empty((count,) + spec.shape, dtype=np.complex128)
+    last = gather_translates(tiles[-1], shifts[:, lead:]).reshape((count,) + (1,) * lead + spec.shape[lead:])
+    start = 0
+    # one leading stage per run of consecutive shifts that share the leading shift
+    for row, run in itertools.groupby(shifts[:, :lead].tolist()):
+        stop = start + len(list(run))
+        np.multiply(last[start:stop], _leading_spectrum(field.samples, tiles, tuple(row)), out=out[start:stop])
+        start = stop
+    return np.fft.fftn(out, axes=tuple(range(lead + 1, spec.dim + 1)), norm="forward", out=out)
+
+
+def _leading_spectrum(samples: np.ndarray, tiles: tuple[np.ndarray, ...], leading: tuple[int, ...]) -> np.ndarray:
+    """u times the translates of the leading factors by `leading`, transformed
+    over the leading axes (u itself when there are none)."""
+    for axis, y in enumerate(leading):
+        shape = [1] * samples.ndim
+        shape[axis] = -1
+        samples = samples * gather_translates(tiles[axis], np.array([y])).reshape(shape)
+    return np.fft.fftn(samples, axes=tuple(range(len(leading))), norm="forward") if leading else samples
 
 
 def _spectra_blocks(field: Field, window: Window, shifts: np.ndarray):
@@ -423,19 +459,16 @@ def make_retraction_window(partition: PartitionOfUnity) -> Window:
     lo = plo - 0.5 * ell
     hi = phi + 0.5 * ell
     if hi - lo >= partition.spec.period:
-        raise ShapeError("retraction window does not fit on the torus; use more lattice cells")
+        raise ShapeError(
+            f"cells_per_axis={partition.cells_per_axis}; the retraction window needs at least 3"
+            f" (it spans {(hi - lo) / ell:.2f} cells)"
+        )
     spec = partition.spec
-    coords = coordinate_axes(spec)
-    samples = np.ones(spec.shape, dtype=float)
-    for axis in range(spec.dim):
-        x = coords[axis]
-        center = 0.5 * (lo + hi)
-        disp = np.mod(x - center + 0.5 * spec.period, spec.period) - 0.5 * spec.period
-        vals = axis_bump_values(disp + center, lo, hi, (plo, phi))
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        samples = samples * vals.reshape(shape)
-    return window_from_samples(Field(spec, samples), tuple((lo, hi) for _ in range(spec.dim)), "plateau")
+    x = coordinate_axes(spec)[0]
+    center = 0.5 * (lo + hi)
+    disp = np.mod(x - center + 0.5 * spec.period, spec.period) - 0.5 * spec.period
+    vals = axis_bump_values(disp + center, lo, hi, (plo, phi))
+    return window_from_factors(spec, (vals,) * spec.dim, ((lo, hi),) * spec.dim, "plateau")
 
 
 @dataclass(frozen=True)

@@ -259,9 +259,27 @@ def test_verify_all_keeps_the_other_suites(tmp_path, capsys, monkeypatch, order)
     for name in ("spectral-exactness.json", "spectral-exactness-cases.csv"):
         assert (out / name).exists()
     assert not (out / "sw-embedding.json").exists()
+    assert f"{'overall':24s} FAIL" in captured.out
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"] == {"spectral-exactness": "PASS"}
     assert summary["errors"] == {"sw-embedding": "HypothesisError"}
+    assert summary["overall"] == "FAIL"
+
+
+def test_verify_errored_suite_does_not_read_pass(tmp_path, capsys):
+    # the only suite raises: no verdicts, and the run reads FAIL, not PASS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"retraction": {"cells_per_axis": 2}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", "retraction", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "error: retraction: cells_per_axis=2; the retraction window needs at least 3" in captured.err
+    assert f"{'overall':24s} FAIL" in captured.out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {}
+    assert summary["errors"] == {"retraction": "ShapeError"}
+    assert summary["overall"] == "FAIL"
 
 
 def test_verify_rejects_unknown_suite_option(tmp_path, capsys):

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from katokit.errors import FieldFormatError, GridError, ShapeError
@@ -215,6 +215,7 @@ def test_lattice_shifts_accept_exactly_the_positive_divisors(per_axis):
     k=st.integers(min_value=-7, max_value=7),
     y=st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
 )
+@example(k=2, y=1e-10)  # a shift far below one sample step is not rounded to the lattice
 def test_translate_phase_property(k, y):
     """tau_y acts on the k-th coefficient as multiplication by e^{-i k y}."""
     spec = make_grid(1, 32)

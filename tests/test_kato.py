@@ -10,13 +10,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from katokit.ensembles import critical_ensemble, realize_ensemble, spectral_ensemble
 from katokit.errors import HypothesisError, NonFiniteError, ShapeError
 from katokit.grid import (
     Field,
+    Window,
     constant_field,
     coordinate_axes,
     field_from_values,
@@ -173,6 +174,78 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
             parts = windowed_spectra(u, chi, shifts).reshape(g, -1).view(float)
             unblocked = np.sqrt(spec.period**dim * np.einsum("ij,j->i", parts**2, w_sq))
             assert np.array_equal(got, unblocked)
+
+
+# ---------------------------------------------------------------------------
+# tensor-product windows: the two-stage windowed spectra
+
+
+def separable_window(spec, plateau):
+    """An off-centre bump with a different support on every axis."""
+    length = spec.period
+    support = [(0.1 * length, 0.6 * length), (0.3 * length, 0.9 * length), (0.2 * length, 0.75 * length)]
+    plateaus = [(0.25 * length, 0.4 * length), (0.5 * length, 0.7 * length), (0.35 * length, 0.6 * length)]
+    return make_bump(spec, support[: spec.dim], plateaus[: spec.dim] if plateau else None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    plateau=st.booleans(),
+    # shift indices per axis into a pool of three values: leading shifts
+    # repeat, in any order, contiguous or not
+    picks=st.lists(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3), min_size=1, max_size=10),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+@example(dim=2, plateau=False, picks=[(0, 0, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0), (0, 0, 0)], seed=1)
+@example(dim=3, plateau=True, picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=2)
+def test_two_stage_spectra_match_per_translate_loop(dim, plateau, picks, seed):
+    n_samp = 16 if dim == 2 else 8
+    spec = make_grid(dim, n_samp)
+    order = multi_order(1.5, (dim,))
+    chi = separable_window(spec, plateau)
+    assert len(chi.axis_factors) == dim
+    pool = [0, 5, n_samp - 3]
+    shifts = np.array([[pool[i] for i in pick[:dim]] for pick in picks])
+    rng = np.random.default_rng(seed)
+    u = Field(spec, rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape))
+    got = windowed_norms(u, chi, shifts, order)
+    axes = tuple(range(dim))
+    want = [
+        h_norm(Field(spec, np.roll(chi.field.samples, tuple(y), axis=axes) * u.samples), order) for y in shifts
+    ]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # the same samples with no factors: one n-D transform per translate
+    one_stage = window_from_samples(chi.field, chi.support_box)
+    np.testing.assert_allclose(got, windowed_norms(u, one_stage, shifts, order), rtol=1e-14, atol=0.0)
+    # a translate's spectrum does not depend on the other shifts of the call
+    spectra = windowed_spectra(u, chi, shifts)
+    for i in range(len(shifts)):
+        assert np.array_equal(spectra[i], windowed_spectra(u, chi, shifts[i : i + 1])[0])
+
+
+def test_one_axis_window_is_its_own_factor():
+    # in 1-D the factored window and its bare samples take the same route, bit for bit
+    spec = make_grid(1, 256)
+    chi = default_window(spec)
+    shifts, _ = translation_shifts(spec, ContinuousScheme())
+    u = rng_field(spec, 5)
+    bare = window_from_samples(chi.field, chi.support_box)
+    order = multi_order(2.0, (1,))
+    assert np.array_equal(windowed_norms(u, chi, shifts, order), windowed_norms(u, bare, shifts, order))
+
+
+def test_window_refuses_factors_that_miss_its_samples():
+    spec = make_grid(2, 16)
+    chi = separable_window(spec, True)
+    first, second = chi.axis_factors
+    # the product of the factors must reproduce the samples bit for bit
+    nudged = first.copy()
+    nudged[5] = np.nextafter(nudged[5], 2.0)
+    for factors in ((nudged, second), (second, first), (first,), (first, second[:-1])):
+        with pytest.raises(ShapeError, match="axis_factors"):
+            Window(chi.field, chi.support_box, "plateau", factors)
+    assert Window(chi.field, chi.support_box, "plateau", (first, second)).axis_factors is not None
 
 
 # ---------------------------------------------------------------------------
