@@ -208,9 +208,9 @@ def _partition_bracket(part, order) -> tuple[float, float]:
 
 def _suite_peetre(cfg: dict, seed: int):
     rep = peetre_check(
-        samples=int(cfg["samples"]),
+        samples=cfg["samples"],
         seed=seed,
-        max_dim=int(cfg["max_dim"]),
+        max_dim=cfg["max_dim"],
         order_bound=float(cfg["order_bound"]),
         scale=float(cfg["scale"]),
     )
@@ -232,7 +232,7 @@ def _suite_weight_conv(cfg: dict, seed: int):
             params,
             box=float(cfg["box"]),
             step=float(cfg["step"]),
-            probes_per_block=int(cfg["probes_per_block"]),
+            probes_per_block=cfg["probes_per_block"],
         )
         label = f"s={list(s)} t={list(t)} eps={list(eps)} blocks={list(blocks)}"
         cases.append(_case(label, rep.verdict, max_ratio=rep.max_ratio, tail_fraction=rep.tail_fraction))
@@ -243,7 +243,7 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
     tol = float(cfg["tol"])
     cases = []
 
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
+    spec = make_grid(1, cfg["samples_per_axis"])
     order = multi_order(1.3, (1,))
     scale = 2.0 * math.pi / spec.period
     modes = [0, 1, -3, 7, spec.samples_per_axis // 2 - 1]
@@ -302,10 +302,10 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
 def _suite_exact_identities(cfg: dict, seed: int):
     tol = float(cfg["tol"])
     hs_tol = float(cfg["hs_tol"])
-    count = int(cfg["count"])
+    count = cfg["count"]
     cases = []
 
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
+    spec = make_grid(1, cfg["samples_per_axis"])
     fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
     order = multi_order(1.5, (1,))
     worst = 0.0
@@ -358,8 +358,8 @@ def _suite_exact_identities(cfg: dict, seed: int):
 
 
 def _suite_window_bound(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
-    count = int(cfg["count"])
+    spec = make_grid(1, cfg["samples_per_axis"])
+    count = cfg["count"]
     fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
     order = multi_order(1.2, (1,))
     chi = _default_window(spec).field
@@ -380,8 +380,8 @@ def _suite_window_bound(cfg: dict, seed: int):
 
 
 def _suite_sobolev_product(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
-    count = int(cfg["count"])
+    spec = make_grid(1, cfg["samples_per_axis"])
+    count = cfg["count"]
     us = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
     vs = realize_ensemble(spectral_ensemble(_child(seed, 1), count, 1, kmax=20), spec)
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
@@ -398,8 +398,8 @@ def _suite_sobolev_product(cfg: dict, seed: int):
 
 
 def _suite_twisted_periodization(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
-    cells = int(cfg["cells_per_axis"])
+    spec = make_grid(1, cfg["samples_per_axis"])
+    cells = cfg["cells_per_axis"]
     cell = spec.period / cells
     window = make_bump(spec, [(0.15 * cell, 0.9 * cell)], [(0.4 * cell, 0.6 * cell)])
     scale = 2.0 * math.pi / spec.period
@@ -423,14 +423,14 @@ def _suite_twisted_periodization(cfg: dict, seed: int):
 
 
 def _suite_lattice_decomposition(cfg: dict, seed: int):
-    cells = int(cfg["cells_per_axis"])
-    count = int(cfg["count"])
+    cells = cfg["cells_per_axis"]
+    count = cfg["count"]
     order = multi_order(1.0, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
     per_res = []
     for n_res in cfg["resolutions"]:
-        spec = make_grid(1, int(n_res))
+        spec = make_grid(1, n_res)
         part = build_partition(spec, cells)
         fields = realize_ensemble(samples, spec)
         ratios = [lattice_decomposition_ratio(u, part, order) for u in fields]
@@ -445,15 +445,15 @@ def _suite_lattice_decomposition(cfg: dict, seed: int):
 
 
 def _suite_h_equals_k2(cfg: dict, seed: int):
-    cells = int(cfg["cells_per_axis"])
-    count = int(cfg["count"])
+    cells = cfg["cells_per_axis"]
+    count = cfg["count"]
     agreement_tol = float(cfg["agreement_tol"])
     order = multi_order(1.0, (1,))
     cases = []
     for n_res in cfg["resolutions"]:
-        spec = make_grid(1, int(n_res))
+        spec = make_grid(1, n_res)
         part = build_partition(spec, cells)
-        fields = realize_ensemble(spectral_ensemble(_child(seed, int(n_res)), count, 1, kmax=20), spec)
+        fields = realize_ensemble(spectral_ensemble(_child(seed, n_res), count, 1, kmax=20), spec)
         lower, upper = _partition_bracket(part, order)
         worst_gap = 0.0
         bracket_ok = True
@@ -469,7 +469,7 @@ def _suite_h_equals_k2(cfg: dict, seed: int):
 
 
 def _suite_window_independence(cfg: dict, seed: int):
-    count = int(cfg["count"])
+    count = cfg["count"]
     lo_br, hi_br = (float(v) for v in cfg["bracket"])
     order = multi_order(1.0, (1,))
     p_values = [_parse_p(p) for p in cfg["p_values"]]
@@ -477,7 +477,7 @@ def _suite_window_independence(cfg: dict, seed: int):
     cases = []
     track = []
     for n_res in cfg["resolutions"]:
-        spec = make_grid(1, int(n_res))
+        spec = make_grid(1, n_res)
         fields = realize_ensemble(samples, spec)
         w1 = _default_window(spec)
         w2 = _narrow_window(spec)
@@ -495,8 +495,8 @@ def _suite_window_independence(cfg: dict, seed: int):
 
 
 def _suite_embedding_chain(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
-    count = int(cfg["count"])
+    spec = make_grid(1, cfg["samples_per_axis"])
+    count = cfg["count"]
     fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
     order = multi_order(1.0, (1,))
     lower = multi_order(0.5, (1,))
@@ -525,8 +525,8 @@ def _suite_embedding_chain(cfg: dict, seed: int):
 
 
 def _suite_kato_product(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
-    count = int(cfg["count"])
+    spec = make_grid(1, cfg["samples_per_axis"])
+    count = cfg["count"]
     us = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
     vs = realize_ensemble(spectral_ensemble(_child(seed, 1), count, 1, kmax=20), spec)
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
@@ -538,15 +538,15 @@ def _suite_kato_product(cfg: dict, seed: int):
 
 
 def _suite_retraction(cfg: dict, seed: int):
-    cells = int(cfg["cells_per_axis"])
-    count = int(cfg["count"])
+    cells = cfg["cells_per_axis"]
+    count = cfg["count"]
     tol = float(cfg["tol"])
     order = multi_order(1.0, (1,))
     cases = []
     for n_res in cfg["resolutions"]:
-        spec = make_grid(1, int(n_res))
+        spec = make_grid(1, n_res)
         part = build_partition(spec, cells)
-        fields = realize_ensemble(spectral_ensemble(_child(seed, int(n_res)), count, 1, kmax=20), spec)
+        fields = realize_ensemble(spectral_ensemble(_child(seed, n_res), count, 1, kmax=20), spec)
         worst = 0.0
         ratio = 0.0
         ok = True
@@ -561,12 +561,12 @@ def _suite_retraction(cfg: dict, seed: int):
 
 
 def _suite_mollifier_rate(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
+    spec = make_grid(1, cfg["samples_per_axis"])
     moll = make_mollifier(spec)
     window = _default_window(spec)
     epsilons = [float(e) for e in cfg["epsilons"]]
-    count = int(cfg["count"])
-    kmax = int(cfg["kmax"])
+    count = cfg["count"]
+    kmax = cfg["kmax"]
     slope_tol = float(cfg["slope_tol"])
     fit_floor = float(cfg["fit_floor"])
     delta = float(cfg["delta"])
@@ -609,7 +609,7 @@ def _suite_mollifier_rate(cfg: dict, seed: int):
 
 
 def _suite_calderon(cfg: dict, seed: int):
-    spec = make_grid(1, int(cfg["samples_per_axis"]))
+    spec = make_grid(1, cfg["samples_per_axis"])
     x = coordinate_axes(spec)[0]
     u0 = field_from_values(spec, 2.0 + np.cos(x))
     us = positive_field(spec, _child(seed, 0))
@@ -633,7 +633,7 @@ def _suite_calderon(cfg: dict, seed: int):
     chain = chain_rule_check([us], holo_square())
     cases.append(_case("chain rule for the square, one axis", _verdict(chain.passed), max_rel_err=chain.max_rel_err))
 
-    spec2 = make_grid(2, int(cfg["samples_per_axis_2d"]), blocks=(2,))
+    spec2 = make_grid(2, cfg["samples_per_axis_2d"], blocks=(2,))
     f1 = positive_field(spec2, _child(seed, 1), kmax=4)
     f2 = positive_field(spec2, _child(seed, 2), kmax=4)
     cases.append(_contour_case("two-variable product on a plane grid", calderon_apply([f1, f2], holo_product2())))
@@ -669,16 +669,16 @@ def _suite_calderon(cfg: dict, seed: int):
     rows = []
     for nodes in cfg["node_sweep"]:
         probe = ContourSpec(
-            nodes_per_circle=int(nodes), tolerance=math.inf, drift_tolerance=math.inf
+            nodes_per_circle=nodes, tolerance=math.inf, drift_tolerance=math.inf
         )
         res = calderon_apply([u0], holo_exp(), probe)
-        rows.append([int(nodes), res.drift, res.pointwise_error])
+        rows.append([nodes, res.drift, res.pointwise_error])
     plots = {"calderon-nodes.csv": (["nodes", "drift", "pointwise_error"], rows)}
     return cases, plots
 
 
 def _suite_sw_embedding(cfg: dict, seed: int):
-    count = int(cfg["count"])
+    count = cfg["count"]
     order = multi_order(float(cfg["order"]), (1,))
     p_values = [_parse_p(p) for p in cfg["p_values"]]
     bracket = float(cfg["bracket"])
@@ -686,7 +686,7 @@ def _suite_sw_embedding(cfg: dict, seed: int):
     cases = []
     track = []
     for n_res in cfg["resolutions"]:
-        spec = make_grid(1, int(n_res))
+        spec = make_grid(1, n_res)
         chi = make_bump(spec, [(0.5, 2.5)], [(1.0, 2.0)])
         chi_tilde = make_bump(spec, [(0.1, 2.9)], [(0.45, 2.55)])
         fields = realize_ensemble(samples, spec)
@@ -701,7 +701,7 @@ def _suite_sw_embedding(cfg: dict, seed: int):
             else:
                 verdict = FAIL
             cases.append(_case(f"majorant quotient, p={_fmt_p(p)}, {n_res} samples", verdict, max_ratio=rep.max_ratio))
-        if int(n_res) == int(cfg["resolutions"][0]):
+        if n_res == cfg["resolutions"][0]:
             dil = dilation_ratio_check(fields[: min(6, count)], 2.0, chi, factor=2)
             finite = math.isfinite(dil.max_volume) and math.isfinite(dil.max_root)
             cases.append(
@@ -725,13 +725,12 @@ def _suite_sw_embedding(cfg: dict, seed: int):
 
 
 def _suite_schatten(cfg: dict, seed: int):
-    count = int(cfg["count"])
+    count = cfg["count"]
     hs_tol = float(cfg["hs_tol"])
     taus = [float(t) for t in cfg["taus"]]
     cases = []
     identity_track = []
     for n_res in cfg["resolutions"]:
-        n_res = int(n_res)
         period = self_dual_period(n_res)
         sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
         order = multi_order((2.0, 2.0), (1, 1))
@@ -775,7 +774,7 @@ def _suite_schatten(cfg: dict, seed: int):
         cases.append(_case(label, _verdict(sv_gap <= 1e-9), max_rel_gap=sv_gap))
 
     growth = identity_track[-1] / max(identity_track[0], 1e-300)
-    expected_growth = math.sqrt(int(cfg["resolutions"][-1]) / int(cfg["resolutions"][0]))
+    expected_growth = math.sqrt(cfg["resolutions"][-1] / cfg["resolutions"][0])
     label = "constant symbol: Hilbert-Schmidt norm grows like the square root of the dimension"
     verdict = _verdict(abs(growth - expected_growth) <= 1e-10 * expected_growth)
     cases.append(_case(label, verdict, growth=growth, expected_growth=expected_growth))
@@ -784,7 +783,6 @@ def _suite_schatten(cfg: dict, seed: int):
     center_box = tuple(float(v) for v in cfg["center_box"])
     width_range = tuple(float(v) for v in cfg["width_range"])
     for n_res in cfg["bound_resolutions"]:
-        n_res = int(n_res)
         period = self_dual_period(n_res)
         sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
         syms = symbol_family(
@@ -805,7 +803,7 @@ def _suite_schatten(cfg: dict, seed: int):
     label = "per-symbol trace-class quotient stability on localized symbols"
     cases.append(_stability_case(label, bound_track[0], bound_track[-1], float(cfg["stability_rtol"])))
 
-    n_res = int(cfg["resolutions"][0])
+    n_res = cfg["resolutions"][0]
     period = self_dual_period(n_res)
     sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
     sweep_sym = symbol_family("gaussian", sym_spec, 1, multi_order((2.0, 2.0), (1, 1)), _child(seed, 7), 1)[0]
@@ -816,8 +814,8 @@ def _suite_schatten(cfg: dict, seed: int):
 
 
 def _suite_coordinate_change(cfg: dict, seed: int):
-    spec = make_grid(2, int(cfg["samples_per_axis"]), blocks=(2,))
-    count = int(cfg["count"])
+    spec = make_grid(2, cfg["samples_per_axis"], blocks=(2,))
+    count = cfg["count"]
     tol = float(cfg["tol"])
     fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 2, kmax=6), spec)
     multipliers = [
@@ -988,8 +986,11 @@ def _parse_number(raw, what: str) -> float:
         raise _UsageError(f"{what} must be a number, got {raw!r}")
 
 
+_INF_NAMES = ("inf", "infinity", "oo")
+
+
 def _parse_p(raw, what: str = "p") -> float:
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "infinity", "oo"):
+    if isinstance(raw, str) and raw.strip().lower() in _INF_NAMES:
         return math.inf
     return _parse_number(raw, what)
 
@@ -1075,6 +1076,8 @@ def _load_config(path: str | None) -> dict:
     unknown = set(cfg) - {"seed", "suites"}
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
+    if "seed" in cfg:
+        _check_seed(cfg["seed"], "config key 'seed'")
     suites = cfg.get("suites", {})
     if not isinstance(suites, dict):
         raise _UsageError("config key 'suites' must be an object")
@@ -1083,13 +1086,38 @@ def _load_config(path: str | None) -> dict:
             raise _UsageError(f"unknown suite in config: {sid!r}")
         if not isinstance(overrides, dict):
             raise _UsageError(f"config for suite {sid!r} must be an object")
-        bad = set(overrides) - set(_SUITES[sid][2])
+        defaults = _SUITES[sid][2]
+        bad = set(overrides) - set(defaults)
         if bad:
             raise _UsageError(f"unknown options for suite {sid!r}: {sorted(bad)}")
-        count = overrides.get("count", 1)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise _UsageError(f"option 'count' of suite {sid!r} must be an integer >= 1, got {count!r}")
+        for key, value in overrides.items():
+            if key == "count" and not (_fits(value, 1) and value >= 1):
+                raise _UsageError(f"option 'count' of suite {sid!r} must be an integer >= 1, got {value!r}")
+            if not _fits(value, defaults[key]):
+                raise _UsageError(
+                    f"option {key!r} of suite {sid!r} must have the type of its default {defaults[key]!r}, got {value!r}"
+                )
     return cfg
+
+
+def _fits(value, default) -> bool:
+    """Whether a config value has the JSON type of its default: an integer, a
+    finite number, the string "inf", or a non-empty list each of whose
+    elements fits some element of the default.  (Python's JSON reader accepts
+    NaN and Infinity, which are not JSON: a NaN tolerance would read FAIL,
+    an infinite one PASS.)"""
+    if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        return False
+    if isinstance(default, list):
+        return isinstance(value, list) and bool(value) and all(any(_fits(v, d) for d in default) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str) and value.strip().lower() in _INF_NAMES
+    return isinstance(value, (int, float) if isinstance(default, float) else int)
+
+
+def _check_seed(seed, what: str) -> None:
+    if not (_fits(seed, 0) and seed >= 0):
+        raise _UsageError(f"{what} must be an integer >= 0, got {seed!r}")
 
 
 class _UsageError(Exception):
@@ -1117,10 +1145,15 @@ def _run_suite(sid: str, cfg_all: dict, base_seed: int):
 
 def cmd_verify(args) -> int:
     cfg_all = _load_config(args.config)
-    base_seed = args.seed if args.seed is not None else int(cfg_all.get("seed", 0))
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
+    base_seed = args.seed if args.seed is not None else cfg_all.get("seed", 0)
     suite_ids = list(_SUITES) if args.suite == "all" else [args.suite]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _UsageError(f"cannot use --out {out} as the report directory: {exc}")
 
     verdicts = {}
     errors = {}

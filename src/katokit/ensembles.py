@@ -38,7 +38,6 @@ class SpectralSample:
 
     kmax: int
     coeffs: np.ndarray  # shape (2 kmax + 1,) * dim
-    label: str = "sample"
 
     @property
     def dim(self) -> int:
@@ -65,7 +64,7 @@ def _centered_norms(kmax: int, dim: int) -> np.ndarray:
 
 
 def sample_band_limited(
-    rng: np.random.Generator, dim: int, kmax: int = 10, decay: float = 1.5, label: str = "bandlimited"
+    rng: np.random.Generator, dim: int, kmax: int = 10, decay: float = 1.5
 ) -> SpectralSample:
     """Random coefficients with polynomial decay, scaled to unit l^1 mass.
 
@@ -76,7 +75,7 @@ def sample_band_limited(
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     coeffs /= (1.0 + _centered_norms(kmax, dim)) ** decay
     mass = float(np.sum(np.abs(coeffs)))
-    return SpectralSample(kmax, coeffs / mass, label)
+    return SpectralSample(kmax, coeffs / mass)
 
 
 def critical_sample(
@@ -92,15 +91,12 @@ def critical_sample(
     phases = np.exp(2j * math.pi * rng.uniform(size=shape))
     coeffs = mags * phases
     mass = float(np.sum(np.abs(coeffs)))
-    return SpectralSample(kmax, coeffs / mass, f"critical-s{s}")
+    return SpectralSample(kmax, coeffs / mass)
 
 
 def spectral_ensemble(seed: int, count: int, dim: int, kmax: int = 10) -> list[SpectralSample]:
     streams = np.random.SeedSequence(seed).spawn(count)
-    return [
-        sample_band_limited(np.random.default_rng(ss), dim, kmax, label=f"bandlimited-{i}")
-        for i, ss in enumerate(streams)
-    ]
+    return [sample_band_limited(np.random.default_rng(ss), dim, kmax) for ss in streams]
 
 
 def critical_ensemble(
@@ -117,7 +113,7 @@ def realize_ensemble(samples: list[SpectralSample], spec: GridSpec) -> list[Fiel
 def positive_field(spec: GridSpec, seed: int, kmax: int = 8) -> Field:
     """Smooth real field bounded below by 1."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    sample = sample_band_limited(rng, spec.dim, kmax, decay=1.8, label="positive")
+    sample = sample_band_limited(rng, spec.dim, kmax, decay=1.8)
     vals = sample.realize(spec).samples
     return Field(spec, 2.0 + np.real(vals))
 

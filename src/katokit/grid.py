@@ -349,25 +349,16 @@ def axis_bump_values(
 class Window:
     """Compactly supported smooth cutoff stored as a field.
 
-    `support_box` holds per-axis (lo, hi) in physical coordinates; boxes may
-    wrap around the torus but must be shorter than one period per axis.
     `axis_factors`, when given, are real per-axis profiles f_a whose product
     f_0(x_0) ... f_{n-1}(x_{n-1}), formed as `make_bump` forms it, must equal
     the samples bit for bit; windowed spectra then transform in two stages.
     """
 
     field: Field
-    support_box: tuple[tuple[float, float], ...]
-    profile_id: str = "plateau"
     axis_factors: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self) -> None:
         spec = self.field.spec
-        if len(self.support_box) != spec.dim:
-            raise ShapeError("support_box must list one (lo, hi) pair per axis")
-        for lo, hi in self.support_box:
-            if not hi > lo or hi - lo >= spec.period:
-                raise GridError(f"support interval ({lo}, {hi}) must be shorter than one period")
         if self.axis_factors is None:
             return
         factors = tuple(np.array(f, dtype=float) for f in self.axis_factors)
@@ -452,29 +443,19 @@ def make_bump(
         axis_bump_values(coords[axis], lo, hi, plateaus[axis] if plateaus is not None else None)
         for axis, (lo, hi) in enumerate(support)
     )
-    return window_from_factors(spec, factors, support, "canonical" if plateaus is None else "plateau")
+    return window_from_factors(spec, factors)
 
 
-def window_from_factors(
-    spec: GridSpec,
-    factors: Sequence[np.ndarray],
-    support_box: Sequence[tuple[float, float]],
-    profile_id: str,
-) -> Window:
+def window_from_factors(spec: GridSpec, factors: Sequence[np.ndarray]) -> Window:
     """The tensor-product window f_0(x_0) ... f_{n-1}(x_{n-1}) of real
     per-axis profiles, which it keeps as its `axis_factors`."""
     factors = tuple(factors)
-    box = tuple((float(a), float(b)) for a, b in support_box)
-    return Window(Field(spec, _outer_product(factors)), box, profile_id, factors)
+    return Window(Field(spec, _outer_product(factors)), factors)
 
 
-def window_from_samples(
-    field: Field,
-    support_box: Sequence[tuple[float, float]],
-    profile_id: str = "custom",
-) -> Window:
-    """Wrap precomputed samples (partition pieces, squared cutoffs) as a Window."""
-    return Window(field, tuple((float(a), float(b)) for a, b in support_box), profile_id)
+def window_from_samples(field: Field) -> Window:
+    """Wrap precomputed samples (squared cutoffs) as a Window without factors."""
+    return Window(field)
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +474,14 @@ def _wrapped_displacement_mesh(spec: GridSpec) -> np.ndarray:
 class Mollifier:
     """Radial smooth kernel of unit discrete mass, support radius `radius`.
 
-    `base` stores the unscaled (epsilon = 1) kernel; `epsilon` in (0, 1]
-    shrinks the support to epsilon * radius.  Scaled kernels are re-evaluated
-    analytically and renormalized so their discrete integral is exactly 1.
+    `epsilon` in (0, 1] shrinks the support to epsilon * radius.  The kernel
+    is evaluated analytically by `mollifier_kernel` and renormalized so its
+    discrete integral is exactly 1.
     """
 
     spec: GridSpec
     epsilon: float
     radius: float
-    base: Window
 
 
 def _radial_kernel_samples(spec: GridSpec, support_radius: float) -> np.ndarray:
@@ -520,10 +500,7 @@ def make_mollifier(spec: GridSpec, epsilon: float = 1.0, radius: float = 1.0) ->
     if not (0.0 < radius < 0.5 * spec.period):
         raise GridError(f"radius must lie in (0, period/2), got {radius}")
     _require_resolvable(spec, epsilon * radius)
-    base_samples = _radial_kernel_samples(spec, radius)
-    box = tuple((-radius, radius) for _ in range(spec.dim))
-    base = Window(Field(spec, base_samples), box, "canonical")
-    return Mollifier(spec, float(epsilon), float(radius), base)
+    return Mollifier(spec, float(epsilon), float(radius))
 
 
 def _require_resolvable(spec: GridSpec, support_radius: float) -> None:
@@ -545,7 +522,7 @@ def rescaled(moll: Mollifier, epsilon: float) -> Mollifier:
     if not (0.0 < epsilon <= 1.0):
         raise GridError(f"epsilon must lie in (0, 1], got {epsilon}")
     _require_resolvable(moll.spec, epsilon * moll.radius)
-    return Mollifier(moll.spec, float(epsilon), moll.radius, moll.base)
+    return Mollifier(moll.spec, float(epsilon), moll.radius)
 
 
 def mollifier_kernel(moll: Mollifier) -> Field:

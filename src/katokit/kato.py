@@ -425,9 +425,7 @@ def kato_product_check(
         r = 1.0 / (1.0 / p + 1.0 / q)
     if r < 1.0:
         raise HypothesisError(f"exponents p={p}, q={q} give r={r} < 1")
-    chi_sq = window_from_samples(
-        Field(window.spec, window.field.samples**2), window.support_box, "squared"
-    )
+    chi_sq = window_from_samples(Field(window.spec, window.field.samples**2))
     spec_u = amalgam_spec(params.s, p, window)
     spec_v = amalgam_spec(params.t, q, window)
     spec_uv = amalgam_spec(params.sigma, r, chi_sq)
@@ -468,7 +466,7 @@ def make_retraction_window(partition: PartitionOfUnity) -> Window:
     center = 0.5 * (lo + hi)
     disp = np.mod(x - center + 0.5 * spec.period, spec.period) - 0.5 * spec.period
     vals = axis_bump_values(disp + center, lo, hi, (plo, phi))
-    return window_from_factors(spec, (vals,) * spec.dim, ((lo, hi),) * spec.dim, "plateau")
+    return window_from_factors(spec, (vals,) * spec.dim)
 
 
 @dataclass(frozen=True)

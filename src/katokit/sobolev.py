@@ -16,7 +16,6 @@ cells.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +35,7 @@ from .grid import (
     lattice_shifts,
     require_finite,
     to_spectrum,
+    window_from_factors,
 )
 from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
 
@@ -265,11 +265,11 @@ def twisted_periodization(
     representable twist, reported via `theta_offset`.
     """
     spec = window.spec
+    shifts = lattice_shifts(spec, cells_per_axis)  # refuses a count that is not an integer
     lam = int(cells_per_axis)
     n_samp = spec.samples_per_axis
     if lam < 2:
         raise HypothesisError("need at least 2 lattice cells per axis")
-    shifts = lattice_shifts(spec, lam)
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta_arr.shape != (spec.dim,):
         raise ShapeError(f"theta must have length {spec.dim}")
@@ -323,20 +323,19 @@ _MIN_SAMPLES_PER_CELL = 32
 
 @dataclass(frozen=True, eq=False)
 class PartitionOfUnity:
-    """3^n smooth pieces whose lattice periodizations sum to 1.
+    """Master bump h of a smooth partition of unity on the lattice cells.
 
     Cell coordinates are scaled so one lattice cell has side
-    ell = L / cells_per_axis.  Piece i is h_i = tau_{x_i} h~ / H~ with
-    h~ the tensor bump (1 on [1/3,2/3]^n, support in [1/4,3/4]^n of the
-    cell) and H~ the full shifted periodization, which is >= 1 everywhere.
-    `master` is h = sum_i h_i; its lattice periodization is exactly 1.
+    ell = L / cells_per_axis.  Per axis, piece i is h_i = tau_{x_i} h~ / H~
+    with x_i in {-1/3, 0, 1/3}, h~ the cell bump (1 on [1/3, 2/3], support
+    in [1/4, 3/4] of the cell) and H~ the full shifted periodization, which
+    is >= 1 everywhere.  `master` is the tensor product of the per-axis
+    h = sum_i h_i, kept as its `axis_factors`; its lattice periodization is
+    exactly 1.
     """
 
     spec: GridSpec
     cells_per_axis: int
-    shifts: tuple[tuple[float, ...], ...]
-    pieces: tuple[Window, ...]
-    periodized_pieces: tuple[Field, ...]
     master: Window
 
     @property
@@ -350,71 +349,48 @@ def _axis_master_profile(t: np.ndarray) -> np.ndarray:
 
 
 def build_partition(spec: GridSpec, cells_per_axis: int = 4) -> PartitionOfUnity:
-    """Construct the shifted-bump partition of unity on the lattice cells."""
+    """Construct the shifted-bump partition of unity on the lattice cells.
+
+    Every n-D sum of the construction is a product of its 1-D sums, so the
+    covering and sum-to-one checks run on one axis; the n-D master is then
+    checked against its lattice periodization.
+    """
+    lattice = lattice_shifts(spec, cells_per_axis)  # refuses a count that is not an integer
     lam = int(cells_per_axis)
     n_samp = spec.samples_per_axis
     if lam < 2:
         raise HypothesisError("need at least 2 lattice cells per axis")
-    lattice = lattice_shifts(spec, lam)
     if n_samp // lam < _MIN_SAMPLES_PER_CELL:
         raise PartitionError(
             f"{n_samp // lam} samples per lattice cell; need at least {_MIN_SAMPLES_PER_CELL} "
             "to resolve the cell bumps"
         )
 
-    ell = spec.period / lam
-    t = coordinate_axes(spec)[0] / ell  # cell coordinates in [0, Lambda)
+    t = coordinate_axes(spec)[0] / (spec.period / lam)  # cell coordinates in [0, Lambda)
 
-    # Denominator: the full shifted periodization factors across axes.
-    denom_1d = np.zeros_like(t)
+    # The periodization of each shifted bump, and their sum: the denominator.
+    denom = np.zeros_like(t)
+    periodized = []
     for shift in _SHIFTS_1D:
-        for gamma in range(-2, lam + 2):
-            denom_1d += _axis_master_profile(t - gamma - shift)
-    if float(np.min(denom_1d)) < 1.0 - 1e-12:
-        raise PartitionError("shifted periodization dipped below 1; covering property failed")
-
-    def piece_axis_values(shift: float) -> np.ndarray:
-        # Support wrapped onto the torus around cell coordinate shift + 1/2.
-        disp = np.mod(t - (shift + 0.5) + 0.5 * lam, lam) - 0.5 * lam
-        return _axis_master_profile(disp + 0.5) / denom_1d
-
-    def periodized_axis_values(shift: float) -> np.ndarray:
         acc = np.zeros_like(t)
         for gamma in range(-2, lam + 2):
-            acc += _axis_master_profile(t - gamma - shift)
-        return acc / denom_1d
+            bump = _axis_master_profile(t - gamma - shift)
+            denom += bump
+            acc += bump
+        periodized.append(acc)
+    if float(np.min(denom)) < 1.0 - 1e-12:
+        raise PartitionError("shifted periodization dipped below 1; covering property failed")
 
-    pieces: list[Window] = []
-    periodized: list[Field] = []
-    shifts: list[tuple[float, ...]] = []
-    for shift_vec in itertools.product(_SHIFTS_1D, repeat=spec.dim):
-        samples = np.ones(spec.shape, dtype=float)
-        chi = np.ones(spec.shape, dtype=float)
-        box = []
-        for axis in range(spec.dim):
-            vals = piece_axis_values(shift_vec[axis])
-            per = periodized_axis_values(shift_vec[axis])
-            shape = [1] * spec.dim
-            shape[axis] = -1
-            samples = samples * vals.reshape(shape)
-            chi = chi * per.reshape(shape)
-            box.append(((shift_vec[axis] + 0.25) * ell, (shift_vec[axis] + 0.75) * ell))
-        pieces.append(Window(Field(spec, samples), tuple(box), "partition-piece"))
-        periodized.append(Field(spec, chi))
-        shifts.append(tuple(float(v) for v in shift_vec))
-
-    total = np.zeros(spec.shape, dtype=float)
-    for chi in periodized:
-        total += chi.samples.real
+    total = np.zeros_like(t)
+    master_1d = np.zeros_like(t)
+    for shift, acc in zip(_SHIFTS_1D, periodized):
+        total += acc / denom
+        # Support wrapped onto the torus around cell coordinate shift + 1/2.
+        disp = np.mod(t - (shift + 0.5) + 0.5 * lam, lam) - 0.5 * lam
+        master_1d += _axis_master_profile(disp + 0.5) / denom
     if float(np.max(np.abs(total - 1.0))) > _EXACTNESS_TOL:
         raise PartitionError("periodized pieces do not sum to 1 within tolerance")
-
-    master_samples = np.zeros(spec.shape, dtype=float)
-    for piece in pieces:
-        master_samples += piece.field.samples.real
-    lo = (_SHIFTS_1D[0] + 0.25) * ell
-    hi = (_SHIFTS_1D[-1] + 0.75) * ell
-    master = Window(Field(spec, master_samples), tuple((lo, hi) for _ in range(spec.dim)), "partition-master")
+    master = window_from_factors(spec, (master_1d,) * spec.dim)
 
     master_periodized = np.zeros(spec.shape, dtype=float)
     for y in lattice:
@@ -422,14 +398,7 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4) -> PartitionOfUnity
     if float(np.max(np.abs(master_periodized - 1.0))) > _EXACTNESS_TOL:
         raise PartitionError("master bump lattice periodization is not 1 within tolerance")
 
-    return PartitionOfUnity(
-        spec=spec,
-        cells_per_axis=lam,
-        shifts=tuple(shifts),
-        pieces=tuple(pieces),
-        periodized_pieces=tuple(periodized),
-        master=master,
-    )
+    return PartitionOfUnity(spec=spec, cells_per_axis=lam, master=master)
 
 
 def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order: MultiOrder) -> float:

@@ -303,6 +303,73 @@ def test_verify_refuses_count_below_one(tmp_path, capsys, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "suite, option, value",
+    [
+        ("peetre", "samples", "many"),
+        ("retraction", "cells_per_axis", 4.5),
+        ("kato-product", "slack", "1.05"),
+        ("kato-product", "slack", math.inf),
+        ("spectral-exactness", "tol", math.nan),
+        ("twisted-periodization", "samples_per_axis", None),
+        ("h-equals-k2", "resolutions", 128),
+        ("lattice-decomposition", "resolutions", [128, 256.0]),
+        ("embedding-chain", "p_values", [1.0, "many"]),
+        ("window-independence", "p_values", []),
+        ("mollifier-rate", "pairs", [[2.0, 1.0], [1.5, True]]),
+    ],
+)
+def test_verify_refuses_option_of_another_type(tmp_path, capsys, suite, option, value):
+    # an option must have its default's JSON type, list elements included;
+    # refused while the config is read, before any suite runs
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {suite: {option: value}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", suite, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"option {option!r} of suite {suite!r} must have the type of its default" in err
+    assert not out.exists()
+
+
+def test_config_accepts_integers_for_numbers_and_inf_for_p(tmp_path):
+    overrides = {
+        "window-independence": {"p_values": [1, 2.5, "inf"], "bracket": [1, 50], "stability_rtol": 1},
+        "mollifier-rate": {"pairs": [[2, 1.0]], "epsilons": [0.4, 1]},
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "suites": overrides}))
+    assert cli._load_config(str(cfg))["suites"] == overrides
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, -1, True, None])
+def test_verify_refuses_config_seed_that_is_not_a_count(tmp_path, capsys, seed):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": seed}))
+    out = tmp_path / "r"
+    rc = main(["verify", "peetre", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "config key 'seed' must be an integer >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_negative_seed(tmp_path, capsys):
+    out = tmp_path / "r"
+    rc = main(["verify", "peetre", "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_out_that_is_a_file(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    rc = main(["verify", "peetre", "--out", str(out)])
+    assert rc == 2
+    assert "cannot use --out" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_verify_exit_one_on_failed_assertion(tmp_path, capsys):
     # force an unreachable tolerance: a mathematically asserted identity
     # reported outside it is a FAIL, not an INCONCLUSIVE

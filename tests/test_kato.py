@@ -6,6 +6,7 @@ translate, combine with the quadrature weight.  Everything else builds on
 that agreement.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -160,7 +161,7 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
     rows = max(1, kato._BLOCK_ELEMENTS // spec.num_points)
     axes = tuple(range(dim))
     w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
-    for chi in (real, window_from_samples(modulated, real.support_box, "modulated")):
+    for chi in (real, window_from_samples(modulated)):
         for g in (1, rows - 1, rows, rows + 1, n_samp):
             shifts = all_shifts[rng.choice(len(all_shifts), g, replace=g > len(all_shifts))]
             got = windowed_norms(u, chi, shifts, order)
@@ -188,22 +189,33 @@ def separable_window(spec, plateau):
     return make_bump(spec, support[: spec.dim], plateaus[: spec.dim] if plateau else None)
 
 
+@functools.lru_cache(maxsize=None)
+def partition_master(dim):
+    """The 2-cell partition master: factored, with two-cell periodicity."""
+    return build_partition(make_grid(dim, 64), cells_per_axis=2).master
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
-    plateau=st.booleans(),
+    window=st.sampled_from(["canonical", "plateau", "partition"]),
     # shift indices per axis into a pool of three values: leading shifts
     # repeat, in any order, contiguous or not
     picks=st.lists(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3), min_size=1, max_size=10),
     seed=st.integers(min_value=0, max_value=2**16),
 )
-@example(dim=2, plateau=False, picks=[(0, 0, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0), (0, 0, 0)], seed=1)
-@example(dim=3, plateau=True, picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=2)
-def test_two_stage_spectra_match_per_translate_loop(dim, plateau, picks, seed):
-    n_samp = 16 if dim == 2 else 8
-    spec = make_grid(dim, n_samp)
+@example(dim=2, window="canonical", picks=[(0, 0, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0), (0, 0, 0)], seed=1)
+@example(dim=3, window="plateau", picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=2)
+@example(dim=3, window="partition", picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=3)
+def test_two_stage_spectra_match_per_translate_loop(dim, window, picks, seed):
+    if window == "partition":
+        chi = partition_master(dim)
+        n_samp = 64
+    else:
+        n_samp = 16 if dim == 2 else 8
+        chi = separable_window(make_grid(dim, n_samp), window == "plateau")
+    spec = chi.spec
     order = multi_order(1.5, (dim,))
-    chi = separable_window(spec, plateau)
     assert len(chi.axis_factors) == dim
     pool = [0, 5, n_samp - 3]
     shifts = np.array([[pool[i] for i in pick[:dim]] for pick in picks])
@@ -216,7 +228,7 @@ def test_two_stage_spectra_match_per_translate_loop(dim, plateau, picks, seed):
     ]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
     # the same samples with no factors: one n-D transform per translate
-    one_stage = window_from_samples(chi.field, chi.support_box)
+    one_stage = window_from_samples(chi.field)
     np.testing.assert_allclose(got, windowed_norms(u, one_stage, shifts, order), rtol=1e-14, atol=0.0)
     # a translate's spectrum does not depend on the other shifts of the call
     spectra = windowed_spectra(u, chi, shifts)
@@ -230,7 +242,7 @@ def test_one_axis_window_is_its_own_factor():
     chi = default_window(spec)
     shifts, _ = translation_shifts(spec, ContinuousScheme())
     u = rng_field(spec, 5)
-    bare = window_from_samples(chi.field, chi.support_box)
+    bare = window_from_samples(chi.field)
     order = multi_order(2.0, (1,))
     assert np.array_equal(windowed_norms(u, chi, shifts, order), windowed_norms(u, bare, shifts, order))
 
@@ -244,8 +256,8 @@ def test_window_refuses_factors_that_miss_its_samples():
     nudged[5] = np.nextafter(nudged[5], 2.0)
     for factors in ((nudged, second), (second, first), (first,), (first, second[:-1])):
         with pytest.raises(ShapeError, match="axis_factors"):
-            Window(chi.field, chi.support_box, "plateau", factors)
-    assert Window(chi.field, chi.support_box, "plateau", (first, second)).axis_factors is not None
+            Window(chi.field, factors)
+    assert Window(chi.field, (first, second)).axis_factors is not None
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +398,7 @@ def test_norms_refuse_non_finite_samples(entry, dim, in_window, p, bad):
     samples = (chi.field if in_window else u).samples.copy()
     samples.flat[list(bad)] = list(bad.values())
     if in_window:
-        chi = window_from_samples(Field(spec, samples), chi.support_box)
+        chi = window_from_samples(Field(spec, samples))
     else:
         u = Field(spec, samples)
     what = "window" if in_window else "field"
@@ -414,9 +426,7 @@ def test_window_ratio_translated_window_is_one():
     spec = make_grid(1, 128)
     order = multi_order(1.0, (1,))
     chi = default_window(spec)
-    moved = window_from_samples(
-        Field(spec, np.roll(chi.field.samples, 16)), chi.support_box, "translated"
-    )
+    moved = window_from_samples(Field(spec, np.roll(chi.field.samples, 16)))
     fields = [rng_field(spec, 60 + i) for i in range(5)]
     report = window_ratio_check(fields, order, 2.0, chi, moved)
     assert report.min_ratio == pytest.approx(1.0, rel=1e-12)

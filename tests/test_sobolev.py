@@ -288,7 +288,7 @@ def test_periodization_of_periodic_window_collapses():
     spec = make_grid(1, 128)
     x = np.asarray(coordinate_axes(spec)[0])
     f = field_from_values(spec, 2.0 + np.cos(4.0 * x))
-    w = window_from_samples(f, [(0.0, spec.period - 1e-9)])
+    w = window_from_samples(f)
     report = twisted_periodization(w, 0.0, cells_per_axis=4)
     assert np.max(np.abs(report.field.samples - 4.0 * f.samples)) < 1e-12
 
@@ -327,41 +327,40 @@ def test_periodization_2d_spectrum_on_coset():
 # partition of unity
 
 
-def test_partition_1d_sums_to_one():
-    spec = make_grid(1, 128)
-    part = build_partition(spec, cells_per_axis=4)
-    assert len(part.pieces) == 3
-    total = sum(f.samples for f in part.periodized_pieces)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_master_lattice_periodization_is_one(dim):
+    spec = make_grid(dim, 128 if dim < 3 else 64)
+    cells = 4 if dim < 3 else 2
+    part = build_partition(spec, cells_per_axis=cells)
+    assert len(part.master.axis_factors) == dim
+    master = part.master.field.samples
+    stride = spec.samples_per_axis // cells
+    axes = tuple(range(dim))
+    total = sum(np.roll(master, tuple(k * stride for k in g), axis=axes) for g in np.ndindex(*([cells] * dim)))
     assert np.max(np.abs(total - 1.0)) < 1e-10
 
 
-def test_partition_2d_sums_to_one():
+def test_master_vanishes_outside_wrapped_interval():
+    # the three pieces per axis are supported in cell coordinates
+    # (x_i + 1/4, x_i + 3/4) for x_i in {-1/3, 0, 1/3}: together [-1/12, 13/12]
     spec = make_grid(2, 128)
     part = build_partition(spec, cells_per_axis=4)
-    assert len(part.pieces) == 9
-    total = sum(f.samples for f in part.periodized_pieces)
-    assert np.max(np.abs(total - 1.0)) < 1e-10
-
-
-def test_partition_pieces_vanish_outside_shifted_support():
-    spec = make_grid(1, 128)
-    part = build_partition(spec, cells_per_axis=4)
-    ell = spec.period / 4
+    ell = part.cell_side
     x = np.asarray(coordinate_axes(spec)[0])
-    for shift, piece in zip(part.shifts, part.pieces):
-        lo = (shift[0] + 0.25) * ell
-        hi = (shift[0] + 0.75) * ell
-        inside = np.mod(x - lo, spec.period) <= np.mod(hi - lo, spec.period)
-        vals = np.abs(piece.field.samples)
-        assert np.max(vals[~inside]) < 1e-14
+    inside = np.mod(x + ell / 12, spec.period) <= 14 * ell / 12
+    samples = part.master.field.samples
+    assert np.all(samples[~inside, :] == 0.0) and np.all(samples[:, ~inside] == 0.0)
+    assert np.all(samples[np.ix_(inside, inside)].real > 0.0)
 
 
-def test_master_lattice_periodization_is_one():
+@pytest.mark.parametrize("cells", [4.5, 4.9, "4"])
+def test_non_integer_cell_count_is_refused(cells):
+    # truncating to 4 cells would build a partition of another lattice
     spec = make_grid(1, 128)
-    part = build_partition(spec, cells_per_axis=4)
-    master = part.master.field.samples
-    total = sum(np.roll(master, k * 32) for k in range(4))
-    assert np.max(np.abs(total - 1.0)) < 1e-10
+    with pytest.raises(ShapeError, match="must be a positive divisor"):
+        build_partition(spec, cells_per_axis=cells)
+    with pytest.raises(ShapeError, match="must be a positive divisor"):
+        twisted_periodization(_one_cell_bump(spec), 0.0, cells_per_axis=cells)
 
 
 # ---------------------------------------------------------------------------
