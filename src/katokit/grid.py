@@ -454,7 +454,9 @@ def window_from_factors(spec: GridSpec, factors: Sequence[np.ndarray]) -> Window
 
 
 def window_from_samples(field: Field) -> Window:
-    """Wrap precomputed samples (squared cutoffs) as a Window without factors."""
+    """Wrap precomputed samples (squared cutoffs) as a Window without factors.
+    Raises NonFiniteError when a sample is NaN or infinite."""
+    require_finite(field.samples, "window")
     return Window(field)
 
 

@@ -168,8 +168,10 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     Three FFT passes whose normalizations cancel: transform the x-block,
     resolve the xi-block into torus differences, twist by the unimodular
     interpolation phase exp(-i <omega_m, tau ztilde_d>), transform back,
-    and gather rows along centered differences.
+    and gather rows along centered differences.  Raises NonFiniteError when
+    a symbol sample is NaN or infinite.
     """
+    require_finite(symbol.field.samples, "symbol")
     n = symbol.space_dim
     spec = symbol.spec
     num = spec.samples_per_axis
@@ -216,7 +218,9 @@ def schatten_norm(op: OperatorMatrix, p: float) -> float:
 
 
 def symbol_l2_norm(symbol: Symbol) -> float:
-    """L^2 norm with the mixed cell measure (L/N)^n (2 pi / L)^n."""
+    """L^2 norm with the mixed cell measure (L/N)^n (2 pi / L)^n.  Raises
+    NonFiniteError when a symbol sample is NaN or infinite."""
+    require_finite(symbol.field.samples, "symbol")
     spec = symbol.spec
     n = symbol.space_dim
     cell = (spec.period / spec.samples_per_axis) ** n * (2.0 * math.pi / spec.period) ** n

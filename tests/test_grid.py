@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from katokit.errors import FieldFormatError, GridError, ShapeError
+from katokit.errors import FieldFormatError, GridError, NonFiniteError, ShapeError
 from katokit.grid import (
     Field,
     axis_bump_values,
@@ -36,6 +36,7 @@ from katokit.grid import (
     to_spectrum,
     translate,
     translates,
+    window_from_samples,
 )
 
 
@@ -402,6 +403,17 @@ def test_load_rejects_non_finite_sample(tmp_path, value):
     save_field(Field(spec, samples), path)
     with pytest.raises(FieldFormatError, match="non-finite sample.*index 52"):
         load_field(path)
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, -np.inf)])
+def test_window_from_samples_rejects_non_finite_sample(value):
+    # a Field holds NaN (an out-of-domain marker); a window made of one is refused
+    spec = make_grid(2, 16)
+    samples = make_bump(spec, [(1.0, 5.0)] * 2).field.samples.astype(np.complex128)
+    samples[3, 4] = value
+    field = Field(spec, samples)
+    with pytest.raises(NonFiniteError, match=r"window: 1 non-finite sample\(s\), the first at flat index 52$"):
+        window_from_samples(field)
 
 
 def test_field_rejects_wrong_shape():

@@ -145,7 +145,18 @@ def test_translation_shifts_refuse_bad_counts(scheme):
         kato_norm(constant_field(spec), amalgam_spec(multi_order(1.0, (1,)), 2.0, default_window(spec), scheme))
 
 
-@pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64)])
+def unblocked_norms(spectra, spec, order):
+    """Norms of one reduction over every row of `spectra`: w^2 times the
+    squared (re, im) parts, summed by einsum as rows of a stack.  Past 8192
+    terms einsum sums a lone row in another order, so one row is stacked
+    with a copy of itself."""
+    w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
+    rows = spectra.reshape(spectra.shape[0], spec.num_points).view(float)
+    stack = np.concatenate([rows, rows]) if rows.shape[0] == 1 else rows
+    return np.sqrt(spec.period**spec.dim * np.einsum("ij,j->i", stack**2, w_sq)[: rows.shape[0]])
+
+
+@pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64), (3, 32)])
 @pytest.mark.parametrize("scheme", [ContinuousScheme(), LatticeScheme(8)])
 def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
     # shift counts around the block row count, checked against an
@@ -160,7 +171,6 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
     all_shifts, _ = translation_shifts(spec, scheme)
     rows = max(1, kato._BLOCK_ELEMENTS // spec.num_points)
     axes = tuple(range(dim))
-    w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
     for chi in (real, window_from_samples(modulated)):
         for g in (1, rows - 1, rows, rows + 1, n_samp):
             shifts = all_shifts[rng.choice(len(all_shifts), g, replace=g > len(all_shifts))]
@@ -171,10 +181,7 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
             ]
             assert got.shape == (g,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-            # the same per-row reduction, w^2 times the squared (re, im) parts
-            parts = windowed_spectra(u, chi, shifts).reshape(g, -1).view(float)
-            unblocked = np.sqrt(spec.period**dim * np.einsum("ij,j->i", parts**2, w_sq))
-            assert np.array_equal(got, unblocked)
+            assert np.array_equal(got, unblocked_norms(windowed_spectra(u, chi, shifts), spec, order))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,9 @@ def partition_master(dim):
 @settings(max_examples=40, deadline=None)
 @given(
     dim=st.sampled_from([2, 3]),
-    window=st.sampled_from(["canonical", "plateau", "partition"]),
+    # "one-shift blocks": a canonical window at the size where a block of
+    # `_spectra_blocks` holds one shift in 3-D (N=32) or 2-D (N=256)
+    window=st.sampled_from(["canonical", "plateau", "partition", "one-shift blocks"]),
     # shift indices per axis into a pool of three values: leading shifts
     # repeat, in any order, contiguous or not
     picks=st.lists(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3), min_size=1, max_size=10),
@@ -207,10 +216,16 @@ def partition_master(dim):
 @example(dim=2, window="canonical", picks=[(0, 0, 0), (1, 0, 1), (0, 0, 2), (1, 1, 0), (0, 0, 0)], seed=1)
 @example(dim=3, window="plateau", picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=2)
 @example(dim=3, window="partition", picks=[(0, 1, 0), (2, 2, 1), (0, 1, 2), (0, 2, 2), (0, 1, 1)], seed=3)
+# leading shifts A, A, B, A across one-shift blocks: contiguous, then back again
+@example(dim=3, window="one-shift blocks", picks=[(0, 1, 0), (0, 1, 2), (2, 0, 1), (0, 1, 1)], seed=4)
 def test_two_stage_spectra_match_per_translate_loop(dim, window, picks, seed):
     if window == "partition":
         chi = partition_master(dim)
         n_samp = 64
+    elif window == "one-shift blocks":
+        n_samp = 256 if dim == 2 else 32
+        chi = separable_window(make_grid(dim, n_samp), False)
+        assert max(1, kato._BLOCK_ELEMENTS // chi.spec.num_points) == 1
     else:
         n_samp = 16 if dim == 2 else 8
         chi = separable_window(make_grid(dim, n_samp), window == "plateau")
@@ -234,6 +249,45 @@ def test_two_stage_spectra_match_per_translate_loop(dim, window, picks, seed):
     spectra = windowed_spectra(u, chi, shifts)
     for i in range(len(shifts)):
         assert np.array_equal(spectra[i], windowed_spectra(u, chi, shifts[i : i + 1])[0])
+    # nor on the block its shift falls in: the blocked norms equal the same
+    # per-row reduction of one unblocked call, bit for bit
+    assert np.array_equal(got, unblocked_norms(spectra, spec, order))
+
+
+def count_calls(monkeypatch, name):
+    """Replace kato.`name` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(kato, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kato, name, spy)
+    return calls
+
+
+def test_leading_spectrum_is_shared_across_blocks(monkeypatch):
+    # one leading stage per run of equal leading shifts, however many blocks
+    # the run spans; still one windowed_spectra call per block
+    spec = make_grid(2, 64)
+    chi = default_window(spec)
+    order = multi_order(1.5, (2,))
+    rng = np.random.default_rng(12)
+    u = field_from_values(spec, rng.standard_normal(spec.shape))
+    rows = kato._BLOCK_ELEMENTS // spec.num_points
+    full, _ = translation_shifts(spec, ContinuousScheme())
+    a, b = [[3, y] for y in range(rows + 2)], [[9, y] for y in range(rows + 2)]
+    for shifts, leading_runs in ((full, 64), (np.array(a + b + a), 3)):
+        leading_stages = count_calls(monkeypatch, "_leading_spectrum")
+        block_calls = count_calls(monkeypatch, "windowed_spectra")
+        got = windowed_norms(u, chi, shifts, order)
+        assert len(leading_stages) == leading_runs
+        assert len(block_calls) == -(-len(shifts) // rows)
+        monkeypatch.undo()
+        # the same numbers as a cold leading stage in every block
+        cold = np.concatenate([windowed_norms(u, chi, shifts[i : i + rows], order) for i in range(0, len(shifts), rows)])
+        assert np.array_equal(got, cold)
 
 
 def test_one_axis_window_is_its_own_factor():
@@ -398,7 +452,8 @@ def test_norms_refuse_non_finite_samples(entry, dim, in_window, p, bad):
     samples = (chi.field if in_window else u).samples.copy()
     samples.flat[list(bad)] = list(bad.values())
     if in_window:
-        chi = window_from_samples(Field(spec, samples))
+        # the bare constructor: `window_from_samples` refuses these samples itself
+        chi = Window(Field(spec, samples))
     else:
         u = Field(spec, samples)
     what = "window" if in_window else "field"

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from katokit.ensembles import symbol_family
-from katokit.errors import HypothesisError
+from katokit.errors import HypothesisError, NonFiniteError
 from katokit.grid import (
     Field,
     constant_field,
@@ -192,6 +192,19 @@ def test_schatten_rejects_p_below_one():
     op = quantize(make_symbol(constant_field(spec), 1, multi_order((0.0, 0.0), (1, 1))), 0.0)
     with pytest.raises(HypothesisError):
         schatten_norm(op, 0.5)
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+@pytest.mark.parametrize("entry", [lambda sym: quantize(sym, 0.5), symbol_l2_norm], ids=["quantize", "symbol_l2_norm"])
+def test_symbol_with_non_finite_sample_is_refused(entry, value):
+    # a NaN symbol would reach the SVD (numpy's LinAlgError) or answer nan;
+    # it is refused up front, naming the count and the first flat index
+    spec = symbol_grid(8)
+    samples = random_symbol(spec, 3).field.samples.copy()
+    samples[2, 5] = value
+    sym = make_symbol(Field(spec, samples), 1, multi_order((2.0, 2.0), (1, 1)))
+    with pytest.raises(NonFiniteError, match=r"symbol: 1 non-finite sample\(s\), the first at flat index 21$"):
+        entry(sym)
 
 
 # ---------------------------------------------------------------------------
