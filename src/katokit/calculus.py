@@ -198,8 +198,10 @@ class HoloFn:
     """A holomorphic map Phi : Omega subset C^d -> C with optional partials.
 
     `evaluate` receives a stacked array of shape (d, ...) and returns (...).
-    Missing partials fall back to symmetric differences with relative step
-    1e-6 (1 + |z_k|).
+    The contour passes it read-only views of one node buffer that it reuses
+    from chunk to chunk: it may return a view of its argument, and writing
+    into the argument raises ValueError.  Missing partials fall back to
+    symmetric differences with relative step 1e-6 (1 + |z_k|).
     """
 
     arity: int
@@ -448,21 +450,28 @@ def _contour_sums(
     for k in range(d):
         poles = zeta[:, None] + flat_v[k][None, :] - flat_u[k][None, :]
         np.divide((zeta / fine)[:, None], poles, out=weights[k])
-    rows = max(1, _CHUNK_ELEMENTS // (fine ** (d - 1) * npts))
+    rows = min(fine, max(1, _CHUNK_ELEMENTS // (fine ** (d - 1) * npts)))
     coarse = np.zeros(npts, dtype=np.complex128)
     total = np.zeros(npts, dtype=np.complex128)
+    # one node buffer for every chunk: variables 1..d-1 do not depend on the
+    # chunk and are filled once, variable 0 is rewritten per chunk
+    nodes_buf = np.empty((d, rows) + (fine,) * (d - 1) + (npts,), dtype=np.complex128)
+    for k in range(1, d):
+        axis = [1] * (d + 1)
+        axis[k] = -1
+        np.add(flat_v[k], zeta.reshape(axis), out=nodes_buf[k])
     for start in range(0, fine, rows):
         stop = min(start + rows, fine)
-        z = np.empty((d, stop - start) + (fine,) * (d - 1) + (npts,), dtype=np.complex128)
-        for k in range(d):
-            axis = [1] * (d + 1)
-            axis[k] = -1
-            z[k] = flat_v[k] + (zeta[start:stop] if k == 0 else zeta).reshape(axis)
+        np.add(flat_v[0], zeta[start:stop].reshape((-1,) + (1,) * d), out=nodes_buf[0, : stop - start])
+        # fn sees a read-only view, so it cannot corrupt the nodes of later chunks
+        z = nodes_buf[:, : stop - start]
+        z.flags.writeable = False
         vals = np.asarray(fn.evaluate(z), dtype=np.complex128)
         total += _contract(vals, [weights[0, start:stop], *weights[1:]])
         first = slice(start % 2, None, 2)  # the rows of even global index
         even = vals[(first,) + (slice(None, None, 2),) * (d - 1)]
         coarse += _contract(even, [weights[0, start:stop][first], *weights[1:, ::2]])
+        del vals, even  # else they stay alive while fn evaluates the next chunk
     shape = values.shape[1:]
     return (2.0**d * coarse).reshape(shape), total.reshape(shape)
 

@@ -540,9 +540,12 @@ def mollify(field: Field, moll: Mollifier) -> Field:
 
     The coefficients multiply as c_k(phi * u) = L^n c_k(phi) c_k(u), which is
     identical to the quadrature sum (L/N)^n sum_m phi(x_m) u(. - x_m).
+    Raises NonFiniteError when a sample is NaN or infinite, which the
+    transform would otherwise spread over every sample.
     """
     if field.spec != moll.spec:
         raise ShapeError("field and mollifier must share a grid")
+    require_finite(field.samples, "field")
     kern = mollifier_kernel(moll)
     ck = to_spectrum(kern) * (field.spec.period**field.spec.dim)
     return from_spectrum(field.spec, to_spectrum(field) * ck)

@@ -178,29 +178,45 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     tau_mat = _tau_matrix(tau, n)
     x_axes = tuple(range(n))
     xi_axes = tuple(range(n, 2 * n))
+    # at most two arrays of the symbol's size: the stage, transformed in place,
+    # and the twist or the gathered entries
     stage = np.fft.fftn(symbol.field.samples, axes=x_axes)
-    stage = np.fft.ifftn(stage, axes=xi_axes)
+    np.fft.ifftn(stage, axes=xi_axes, out=stage)
+    # The twist must stay an unnamed temporary: from 256 KiB on, numpy elides
+    # it and evaluates this product as twist *= stage, and below that as
+    # stage * twist.  The SIMD complex multiply is not bitwise commutative, so
+    # writing the product either way explicitly moves the entries by an ulp.
+    stage = stage * _twist(tau_mat, num)
+    np.fft.ifftn(stage, axes=x_axes, out=stage)
+    # entry (i, j) of the kernel is stage[i, (i - j) mod N]: gather it through
+    # broadcast index vectors, rows i on axes 0..n-1 and columns j on n..2n-1
+    index = [_along(np.arange(num), 2 * n, a) for a in range(n)]
+    index += [(index[a] - _along(np.arange(num), 2 * n, n + a)) % num for a in range(n)]
+    entries = stage[tuple(index)].reshape(num**n, num**n)
+    return OperatorMatrix(entries, tau_mat, n, num, spec.period)
+
+
+def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """vec as an ndim-dimensional array that varies along `axis` only."""
+    shape = [1] * ndim
+    shape[axis] = vec.size
+    return vec.reshape(shape)
+
+
+def _twist(tau_mat: np.ndarray, num: int) -> np.ndarray:
+    """exp(-2 pi i <m, tau d> / N) at x-index m and xi-index d, both centered,
+    built in one complex buffer (the phase has a zero imaginary part)."""
+    n = tau_mat.shape[0]
     centered = ((np.arange(num) + num // 2) % num) - num // 2
-    phase = np.zeros(spec.shape, dtype=float)
+    twist = np.zeros((num,) * (2 * n), dtype=np.complex128)
     for a in range(n):
         for b in range(n):
             t = tau_mat[a, b]
             if t == 0.0:
                 continue
-            sa = [1] * (2 * n)
-            sa[a] = num
-            sb = [1] * (2 * n)
-            sb[n + b] = num
-            phase = phase + t * (centered.reshape(sa) * centered.reshape(sb))
-    stage = stage * np.exp(-2j * math.pi / num * phase)
-    stage = np.fft.ifftn(stage, axes=x_axes)
-    size = num**n
-    rows = np.unravel_index(np.arange(size), spec.shape[:n])
-    index: list[np.ndarray] = [rows[a][:, None] for a in range(n)]
-    for a in range(n):
-        index.append((rows[a][:, None] - rows[a][None, :]) % num)
-    entries = stage[tuple(index)]
-    return OperatorMatrix(entries, tau_mat, n, num, spec.period)
+            twist += t * (_along(centered, 2 * n, a) * _along(centered, 2 * n, n + b))
+    np.multiply(-2j * math.pi / num, twist, out=twist)
+    return np.exp(twist, out=twist)
 
 
 def schatten_norm(op: OperatorMatrix, p: float) -> float:

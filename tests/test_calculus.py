@@ -8,6 +8,7 @@ trusted anywhere else.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,60 @@ def test_contour_evaluates_the_fine_grid_once(d):
     assert sizes[-1] == npts
     assert max(sizes) <= max(calculus._CHUNK_ELEMENTS, (2 * nodes) ** (d - 1) * npts)
     assert result.nodes_used == 2 * nodes
+
+
+def test_contour_result_survives_a_function_returning_its_argument():
+    # 2-D N=16 with 64 nodes per circle evaluates in eight chunks of one
+    # reused node buffer; z[0] is a view into it, and must be contracted
+    # before the next chunk rewrites the buffer
+    values, smoothed, _ = _doubling_case(2)
+    nodes = 64
+    chunks = []
+
+    def first(z):
+        chunks.append(z.shape[1])
+        return z[0]
+
+    coarse, fine = calculus._contour_sums(values, smoothed, HoloFn(2, first, entire_domain(2)), 0.5, nodes)
+    assert len(chunks) == 8 and sum(chunks) == 2 * nodes
+    copying = HoloFn(2, lambda z: np.array(z[0]), entire_domain(2))
+    want_coarse, want_fine = calculus._contour_sums(values, smoothed, copying, 0.5, nodes)
+    assert np.array_equal(coarse, want_coarse) and np.array_equal(fine, want_fine)
+    assert np.max(np.abs(fine - values[0])) <= 1e-12
+
+
+def test_contour_refuses_a_function_that_writes_into_its_argument():
+    values, smoothed, _ = _doubling_case(2)
+
+    def writer(z):
+        z[0] += 1.0
+        return z[0] * z[1]
+
+    with pytest.raises(ValueError, match="read-only"):
+        calculus._contour_sums(values, smoothed, HoloFn(2, writer, entire_domain(2)), 0.5, 64)
+    spec = make_grid(2, 32, blocks=(2,))
+    fields = [positive_field(spec, seed=30 + k, kmax=3) for k in range(2)]
+    with pytest.raises(ValueError, match="read-only"):
+        calderon_apply(fields, HoloFn(2, writer, entire_domain(2)))
+
+
+def test_contour_holds_one_node_buffer():
+    # at d=2 N=32 the node buffer is 16 MiB (4 rows of 128 x 1024 nodes per
+    # variable), one chunk's values 8 MiB and the weights 4 MiB: ~30 MiB.
+    # A second node buffer, or a chunk's values kept alive while the next
+    # chunk is evaluated, adds 8 MiB or more. numpy reports its buffers to
+    # tracemalloc.
+    spec = make_grid(2, 32, blocks=(2,))
+    fields = [positive_field(spec, seed=30 + k, kmax=4) for k in range(2)]
+    calderon_apply(fields, holo_product2())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        calderon_apply(fields, holo_product2())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert 16 * 2**20 <= peak <= 34 * 2**20
 
 
 def test_drift_gate_compares_the_doubled_sums():

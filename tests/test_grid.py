@@ -350,6 +350,16 @@ def test_mollifier_rejects_unresolvable_epsilon():
         rescaled(moll, 1e-3)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_mollify_rejects_non_finite_sample(value):
+    # the transform would spread one bad sample over the whole field
+    spec = make_grid(1, 256)
+    samples = np.ones(spec.shape, dtype=np.complex128)
+    samples[9] = value
+    with pytest.raises(NonFiniteError, match=r"field: 1 non-finite sample\(s\), the first at flat index 9$"):
+        mollify(Field(spec, samples), make_mollifier(spec, epsilon=0.3))
+
+
 # ---------------------------------------------------------------------------
 # field files
 

@@ -5,7 +5,9 @@ modulation norm, the rank-one singular value for Schatten norms, and the
 discrete L^2 identity for the Hilbert-Schmidt case.
 """
 
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +207,81 @@ def test_symbol_with_non_finite_sample_is_refused(entry, value):
     sym = make_symbol(Field(spec, samples), 1, multi_order((2.0, 2.0), (1, 1)))
     with pytest.raises(NonFiniteError, match=r"symbol: 1 non-finite sample\(s\), the first at flat index 21$"):
         entry(sym)
+
+
+def _kernel_by_direct_sum(samples, n, tau):
+    """K[r, c] = N^-n sum_k a_trig(r - tau d, k) e^{2 pi i <k, d> / N} with
+    d the centered r - c, one entry at a time and without an FFT.
+
+    a_trig(w, k) = sum_x a(x, k) prod_a D(w_a - x_a) interpolates the
+    x-block off the grid with the Dirichlet kernel D(t) = N^-1 sum_m
+    e^{2 pi i m t / N} over the centered frequencies -N/2 <= m < N/2.
+    """
+    num = samples.shape[0]
+    size = num**n
+    sym = samples.reshape(size, size)  # rows: x multi-index, columns: xi multi-index
+    grid_pts = np.array(list(itertools.product(range(num), repeat=n)), dtype=float)
+    freqs = np.arange(-(num // 2), num - num // 2)
+    kernel = np.empty((size, size), dtype=complex)
+    for r, row in enumerate(grid_pts):
+        for c, col in enumerate(grid_pts):
+            d = (row - col + num // 2) % num - num // 2
+            w = row - tau @ d
+            dirichlet = np.exp(2j * math.pi * np.multiply.outer(w - grid_pts, freqs) / num).mean(axis=-1)
+            a_trig = np.prod(dirichlet, axis=1) @ sym
+            kernel[r, c] = np.mean(a_trig * np.exp(2j * math.pi * (grid_pts @ d) / num))
+    return kernel
+
+
+def _operator_norm_by_power_iteration(mat):
+    """sqrt of the top eigenvalue of A^H A, iterated until it stops moving."""
+    gram = mat.conj().T @ mat
+    vec = np.random.default_rng(0).standard_normal(gram.shape[0]) + 0j
+    value = 0.0
+    for _ in range(20000):
+        nxt = gram @ vec
+        new_value = float(np.real(np.vdot(vec, nxt)) / np.real(np.vdot(vec, vec)))
+        vec = nxt / np.linalg.norm(nxt)
+        if abs(new_value - value) <= 1e-16 * new_value:
+            break
+        value = new_value
+    return math.sqrt(new_value)
+
+
+@pytest.mark.parametrize(
+    "n, num, tau",
+    [(1, 16, 0.0), (1, 16, 0.3), (1, 16, 0.5), (1, 16, 1.0), (2, 4, [[0.5, 0.3], [-0.2, 0.25]]),
+     (2, 6, [[0.3, -0.4], [0.15, 0.7]])],
+)
+def test_quantize_matches_direct_kernel_sum(n, num, tau):
+    spec = make_grid(2 * n, num, period=self_dual_period(num), blocks=(n, n))
+    rng = np.random.default_rng(40 + num)
+    samples = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    op = quantize(make_symbol(Field(spec, samples), n, multi_order((0.0, 0.0), (n, n))), tau)
+    tau_mat = np.asarray(tau, dtype=float) * (np.eye(n) if np.ndim(tau) == 0 else 1.0)
+    want = _kernel_by_direct_sum(samples, n, tau_mat)
+    assert np.max(np.abs(op.entries - want)) <= 1e-13 * np.max(np.abs(want))
+    assert schatten_norm(op, 2.0) == pytest.approx(np.linalg.norm(op.entries), rel=1e-13)
+    assert schatten_norm(op, math.inf) == pytest.approx(_operator_norm_by_power_iteration(op.entries), rel=1e-13)
+
+
+def test_quantize_holds_two_symbol_sized_arrays():
+    # the stage, then the twist or the gathered entries; numpy reports its
+    # buffers to tracemalloc, so the peak sees every one of them
+    num = 16
+    spec = make_grid(4, num, period=self_dual_period(num), blocks=(2, 2))
+    order = multi_order((2.0, 2.0), (2, 2))
+    sym = symbol_family("gaussian", spec, 2, order, seed=5, count=1)[0]
+    quantize(sym, 0.5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = quantize(sym, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    symbol_bytes = sym.field.samples.nbytes
+    assert op.entries.nbytes == symbol_bytes <= peak <= 2.75 * symbol_bytes
 
 
 # ---------------------------------------------------------------------------
