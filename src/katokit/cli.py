@@ -202,8 +202,31 @@ def _partition_bracket(part, order) -> tuple[float, float]:
     return cells_total**-0.5, cells_total**0.5 * c_master
 
 
+def _fields(seed: int, index: int, count: int, spec: GridSpec, kmax: int = 20) -> list:
+    return realize_ensemble(spectral_ensemble(_child(seed, index), count, spec.dim, kmax=kmax), spec)
+
+
+def _symbol_grid(n: int) -> GridSpec:
+    return make_grid(2, n, period=self_dual_period(n), blocks=(1, 1))
+
+
+def _max_err(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want)))
+
+
+def _bracket_power(xi: Sequence[float], s: Sequence[float]) -> float:
+    """prod_a (1 + xi_a^2)^(s_a / 2), the factors multiplied from the first axis."""
+    return math.prod((1.0 + x * x) ** (e / 2.0) for x, e in zip(xi, s))
+
+
 # ---------------------------------------------------------------------------
 # suites
+#
+# A check over several fields, pairs or symbols is one list of reports, built
+# in call order.  A case reads `all(r.passed for r in reps)`, and its worst
+# value as `max(0.0, *values)`, which keeps a NaN where a running max would.
+# No `all()` runs over a generator that calls the library: it would stop at
+# the first failure and skip the later calls.
 
 
 def _suite_peetre(cfg: dict, seed: int):
@@ -225,18 +248,10 @@ def _suite_weight_conv(cfg: dict, seed: int):
         ((0.8, 1.2), (0.9, 0.7), (0.2, 0.2), (1, 1)),
         ((1.5,), (1.5,), (0.25,), (2,)),
     ]
-    cases = []
-    for s, t, eps, blocks in combos:
-        params = sigma_params(s, t, eps, blocks)
-        rep = weight_conv_check(
-            params,
-            box=float(cfg["box"]),
-            step=float(cfg["step"]),
-            probes_per_block=cfg["probes_per_block"],
-        )
-        label = f"s={list(s)} t={list(t)} eps={list(eps)} blocks={list(blocks)}"
-        cases.append(_case(label, rep.verdict, max_ratio=rep.max_ratio, tail_fraction=rep.tail_fraction))
-    return cases, {}
+    box, step, probes = float(cfg["box"]), float(cfg["step"]), cfg["probes_per_block"]
+    reps = [weight_conv_check(sigma_params(*combo), box=box, step=step, probes_per_block=probes) for combo in combos]
+    labels = [f"s={list(s)} t={list(t)} eps={list(eps)} blocks={list(blocks)}" for s, t, eps, blocks in combos]
+    return [_case(label, r.verdict, max_ratio=r.max_ratio, tail_fraction=r.tail_fraction) for label, r in zip(labels, reps)], {}
 
 
 def _suite_spectral_exactness(cfg: dict, seed: int):
@@ -246,54 +261,46 @@ def _suite_spectral_exactness(cfg: dict, seed: int):
     spec = make_grid(1, cfg["samples_per_axis"])
     order = multi_order(1.3, (1,))
     scale = 2.0 * math.pi / spec.period
-    modes = [0, 1, -3, 7, spec.samples_per_axis // 2 - 1]
-    worst_w = 0.0
-    worst_d = 0.0
-    for k in modes:
-        pw = plane_wave(spec, [k])
-        xi = scale * k
-        expect = (1.0 + xi * xi) ** (order.s[0] / 2.0)
-        got = bessel_apply(pw, order)
-        worst_w = max(worst_w, float(np.max(np.abs(got.samples - expect * pw.samples))))
-        dgot = spectral_derivative(pw, 0)
-        worst_d = max(worst_d, float(np.max(np.abs(dgot.samples - 1j * xi * pw.samples))))
+    errs = [
+        (
+            _max_err(bessel_apply(pw, order).samples, _bracket_power([scale * k], order.s) * pw.samples),
+            _max_err(spectral_derivative(pw, 0).samples, 1j * (scale * k) * pw.samples),
+        )
+        for k in [0, 1, -3, 7, spec.samples_per_axis // 2 - 1]
+        for pw in [plane_wave(spec, [k])]
+    ]
+    worst_w = max(0.0, *(w for w, _ in errs))
+    worst_d = max(0.0, *(d for _, d in errs))
     cases.append(_case("weight multiplier on plane waves, one axis", _verdict(worst_w <= tol), max_err=worst_w))
     cases.append(_case("spectral derivative on plane waves, one axis", _verdict(worst_d <= tol), max_err=worst_d))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
     order2 = multi_order((0.7, -1.1), (1, 1))
     scale2 = 2.0 * math.pi / spec2.period
-    worst2 = 0.0
-    for k in [(0, 0), (3, -5), (10, 2)]:
-        pw = plane_wave(spec2, k)
-        expect = 1.0
-        for axis, ka in enumerate(k):
-            xi = scale2 * ka
-            expect *= (1.0 + xi * xi) ** (order2.s[axis] / 2.0)
-        got = bessel_apply(pw, order2)
-        worst2 = max(worst2, float(np.max(np.abs(got.samples - expect * pw.samples))))
+    errs2 = [
+        _max_err(bessel_apply(pw, order2).samples, _bracket_power([scale2 * ka for ka in k], order2.s) * pw.samples)
+        for k in [(0, 0), (3, -5), (10, 2)]
+        for pw in [plane_wave(spec2, k)]
+    ]
+    worst2 = max(0.0, *errs2)
     label = "split-order weight multiplier on plane waves, two blocks"
     cases.append(_case(label, _verdict(worst2 <= tol), max_err=worst2))
 
-    n_op = 32
-    period = self_dual_period(n_op)
-    space = make_grid(1, n_op, period=period)
-    sym_spec = make_grid(2, n_op, period=period, blocks=(1, 1))
+    sym_spec = _symbol_grid(32)
+    space = make_grid(1, 32, period=sym_spec.period)
     freqs = np.asarray(frequency_axes(sym_spec)[0])
     g = (1.0 + freqs**2) ** -1.0
     sym_field = field_from_values(sym_spec, np.broadcast_to(g[None, :], sym_spec.shape))
     sym = make_symbol(sym_field, 1, multi_order((0.0, 0.0), (1, 1)))
-    scale_op = 2.0 * math.pi / period
-    worst_q = 0.0
-    for tau in (0.0, 0.5, 1.0):
-        op = quantize(sym, tau)
-        for k in (0, 2, -5):
-            pw = plane_wave(space, [k])
-            vec = pw.samples.ravel()
-            out = op.entries @ vec
-            xi = scale_op * k
-            eig = (1.0 + xi * xi) ** -1.0
-            worst_q = max(worst_q, float(np.max(np.abs(out - eig * vec))))
+    scale_op = 2.0 * math.pi / sym_spec.period
+    errs_q = [
+        _max_err(op.entries @ vec, _bracket_power([scale_op * k], [-2.0]) * vec)
+        for tau in (0.0, 0.5, 1.0)
+        for op in [quantize(sym, tau)]
+        for k in (0, 2, -5)
+        for vec in [plane_wave(space, [k]).samples.ravel()]
+    ]
+    worst_q = max(0.0, *errs_q)
     label = "quantized frequency multiplier on plane waves, all tau"
     cases.append(_case(label, _verdict(worst_q <= tol), max_err=worst_q))
     return cases, {}
@@ -306,52 +313,33 @@ def _suite_exact_identities(cfg: dict, seed: int):
     cases = []
 
     spec = make_grid(1, cfg["samples_per_axis"])
-    fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
+    fields = _fields(seed, 0, count, spec)
     order = multi_order(1.5, (1,))
-    worst = 0.0
-    ok = True
-    for u in fields:
-        rep = derivative_split_check(u, order, 0, tol=tol)
-        worst = max(worst, rep.rel_err)
-        ok = ok and rep.passed
-    cases.append(_case("derivative norm split, single block", _verdict(ok), max_rel_err=worst))
+    reps = [derivative_split_check(u, order, 0, tol=tol) for u in fields]
+    label = "derivative norm split, single block"
+    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=max(0.0, *(r.rel_err for r in reps))))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
-    fields2 = realize_ensemble(spectral_ensemble(_child(seed, 1), max(2, count // 2), 2, kmax=8), spec2)
     order2 = multi_order((1.0, 2.0), (1, 1))
-    worst2 = 0.0
-    ok2 = True
-    for u in fields2:
-        for block in range(2):
-            rep = derivative_split_check(u, order2, block, tol=tol)
-            worst2 = max(worst2, rep.rel_err)
-            ok2 = ok2 and rep.passed
-    cases.append(_case("derivative norm split, both blocks of a split grid", _verdict(ok2), max_rel_err=worst2))
+    fields2 = _fields(seed, 1, max(2, count // 2), spec2, kmax=8)
+    reps = [derivative_split_check(u, order2, block, tol=tol) for u in fields2 for block in range(2)]
+    label = "derivative norm split, both blocks of a split grid"
+    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=max(0.0, *(r.rel_err for r in reps))))
 
     part = build_partition(spec, 4)
     rep = retraction_roundtrip(fields[0], part, order, tol=tol)
     label = "partition retraction round trip"
     cases.append(_case(label, _verdict(rep.passed), roundtrip_sup_err=rep.roundtrip_sup_err))
 
-    n_op = 16
-    period = self_dual_period(n_op)
-    sym_spec = make_grid(2, n_op, period=period, blocks=(1, 1))
-    syms = symbol_family("random", sym_spec, 1, multi_order((0.0, 0.0), (1, 1)), _child(seed, 2), 3)
-    worst_hs = 0.0
-    for sym in syms:
-        for tau in (0.0, 0.5, 1.0):
-            worst_hs = max(worst_hs, hs_identity_gap(sym, tau))
+    syms = symbol_family("random", _symbol_grid(16), 1, multi_order((0.0, 0.0), (1, 1)), _child(seed, 2), 3)
+    worst_hs = max(0.0, *(hs_identity_gap(sym, tau) for sym in syms for tau in (0.0, 0.5, 1.0)))
     label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau"
     cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
 
-    n_op2 = 12
-    period2 = self_dual_period(n_op2)
-    sym_spec2 = make_grid(4, n_op2, period=period2, blocks=(2, 2))
+    sym_spec2 = make_grid(4, 12, period=self_dual_period(12), blocks=(2, 2))
     syms2 = symbol_family("random", sym_spec2, 2, multi_order((0.0, 0.0), (2, 2)), _child(seed, 3), 2)
     tau_mat = np.array([[0.5, 0.3], [0.0, 0.25]])
-    worst_hs2 = 0.0
-    for sym in syms2:
-        worst_hs2 = max(worst_hs2, hs_identity_gap(sym, tau_mat))
+    worst_hs2 = max(0.0, *(hs_identity_gap(sym, tau_mat) for sym in syms2))
     label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau"
     cases.append(_case(label, _verdict(worst_hs2 <= hs_tol), max_gap=worst_hs2))
     return cases, {}
@@ -360,41 +348,29 @@ def _suite_exact_identities(cfg: dict, seed: int):
 def _suite_window_bound(cfg: dict, seed: int):
     spec = make_grid(1, cfg["samples_per_axis"])
     count = cfg["count"]
-    fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
+    fields = _fields(seed, 0, count, spec)
     order = multi_order(1.2, (1,))
     chi = _default_window(spec).field
     x = coordinate_axes(spec)[0]
     smooth = field_from_values(spec, (2.0 + np.cos(x)) * np.exp(1j * np.sin(x)))
     cases = []
     for mode, factor in (("window", chi), ("periodic", smooth), ("bounded_smooth", smooth)):
-        worst = 0.0
-        ok = True
-        const = 0.0
-        for u in fields:
-            rep = product_bound_check(u, factor, order, mode=mode)
-            worst = max(worst, rep.ratio)
-            const = rep.constant
-            ok = ok and rep.passed
-        cases.append(_case(f"{mode} multiplier bound over {count} fields", _verdict(ok), max_ratio=worst, constant=const))
+        reps = [product_bound_check(u, factor, order, mode=mode) for u in fields]
+        label = f"{mode} multiplier bound over {count} fields"
+        worst = max(0.0, *(r.ratio for r in reps))
+        cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_ratio=worst, constant=reps[-1].constant))
     return cases, {}
 
 
 def _suite_sobolev_product(cfg: dict, seed: int):
     spec = make_grid(1, cfg["samples_per_axis"])
     count = cfg["count"]
-    us = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
-    vs = realize_ensemble(spectral_ensemble(_child(seed, 1), count, 1, kmax=20), spec)
+    pairs = zip(_fields(seed, 0, count, spec), _fields(seed, 1, count, spec))
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
-    worst = 0.0
-    const = 0.0
-    ok = True
-    for u, v in zip(us, vs):
-        rep = product_bound_check(u, v, params.s, mode="sobolev_pair", params=params)
-        worst = max(worst, rep.ratio)
-        const = rep.constant
-        ok = ok and rep.passed
+    reps = [product_bound_check(u, v, params.s, mode="sobolev_pair", params=params) for u, v in pairs]
     label = f"pairwise product bound over {count} pairs, s=t=1"
-    return [_case(label, _verdict(ok), max_ratio=worst, constant=const)], {}
+    verdict = _verdict(all(r.passed for r in reps))
+    return [_case(label, verdict, max_ratio=max(0.0, *(r.ratio for r in reps)), constant=reps[-1].constant)], {}
 
 
 def _suite_twisted_periodization(cfg: dict, seed: int):
@@ -403,23 +379,18 @@ def _suite_twisted_periodization(cfg: dict, seed: int):
     cell = spec.period / cells
     window = make_bump(spec, [(0.15 * cell, 0.9 * cell)], [(0.4 * cell, 0.6 * cell)])
     scale = 2.0 * math.pi / spec.period
-    cases = []
-    for label, theta in (
-        ("zero twist", 0.0),
-        ("grid-representable twist", 4.0 * scale),
-        ("irrational twist, rounded to the grid", 1.0),
-    ):
-        rep = twisted_periodization(window, [theta], cells_per_axis=cells)
-        cases.append(
-            _case(
-                label,
-                _verdict(rep.passed),
-                theta_offset=rep.theta_offset,
-                off_coset_mass=rep.off_coset_mass,
-                on_coset_max_rel_err=rep.on_coset_max_rel_err,
-            )
+    twists = [("zero twist", 0.0), ("grid-representable twist", 4.0 * scale), ("irrational twist, rounded to the grid", 1.0)]
+    reps = [twisted_periodization(window, [theta], cells_per_axis=cells) for _, theta in twists]
+    return [
+        _case(
+            label,
+            _verdict(r.passed),
+            theta_offset=r.theta_offset,
+            off_coset_mass=r.off_coset_mass,
+            on_coset_max_rel_err=r.on_coset_max_rel_err,
         )
-    return cases, {}
+        for (label, _), r in zip(twists, reps)
+    ], {}
 
 
 def _suite_lattice_decomposition(cfg: dict, seed: int):
@@ -453,26 +424,32 @@ def _suite_h_equals_k2(cfg: dict, seed: int):
     for n_res in cfg["resolutions"]:
         spec = make_grid(1, n_res)
         part = build_partition(spec, cells)
-        fields = realize_ensemble(spectral_ensemble(_child(seed, n_res), count, 1, kmax=20), spec)
+        fields = _fields(seed, n_res, count, spec)
         lower, upper = _partition_bracket(part, order)
-        worst_gap = 0.0
-        bracket_ok = True
-        for u in fields:
-            via_amalgam = h_equals_k2_ratio(u, order, part)
-            via_partition = lattice_decomposition_ratio(u, order=order, partition=part)
-            worst_gap = max(worst_gap, abs(via_amalgam - via_partition) / max(via_partition, 1e-300))
-            bracket_ok = bracket_ok and lower * (1.0 - 1e-9) <= via_amalgam <= upper * (1.0 + 1e-9)
+        routes = [
+            (h_equals_k2_ratio(u, order, part), lattice_decomposition_ratio(u, order=order, partition=part)) for u in fields
+        ]
+        worst_gap = max(0.0, *(abs(amalgam - partition) / max(partition, 1e-300) for amalgam, partition in routes))
+        bracket_ok = all(lower * (1.0 - 1e-9) <= amalgam <= upper * (1.0 + 1e-9) for amalgam, _ in routes)
         label = f"amalgam route equals partition route at {n_res} samples"
         verdict = _verdict(worst_gap <= agreement_tol and bracket_ok)
         cases.append(_case(label, verdict, max_rel_gap=worst_gap, lower=lower, upper=upper))
     return cases, {}
 
 
+def _p_values_with_two(cfg: dict) -> list[float]:
+    """The exponents of a suite whose stability case follows the p=2 quotients."""
+    p_values = [_parse_p(p) for p in cfg["p_values"]]
+    if 2.0 not in p_values:
+        raise HypothesisError(f"option 'p_values' must include 2, which the stability case follows; got {cfg['p_values']!r}")
+    return p_values
+
+
 def _suite_window_independence(cfg: dict, seed: int):
     count = cfg["count"]
     lo_br, hi_br = (float(v) for v in cfg["bracket"])
     order = multi_order(1.0, (1,))
-    p_values = [_parse_p(p) for p in cfg["p_values"]]
+    p_values = _p_values_with_two(cfg)
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
     track = []
@@ -497,29 +474,22 @@ def _suite_window_independence(cfg: dict, seed: int):
 def _suite_embedding_chain(cfg: dict, seed: int):
     spec = make_grid(1, cfg["samples_per_axis"])
     count = cfg["count"]
-    fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
+    fields = _fields(seed, 0, count, spec)
     order = multi_order(1.0, (1,))
     lower = multi_order(0.5, (1,))
     p_values = [_parse_p(p) for p in cfg["p_values"]]
     window = _default_window(spec)
-    p_ok = True
-    o_ok = True
-    for u in fields:
-        rep = embedding_chain_check(u, order, lower, p_values, window)
-        p_ok = p_ok and rep.p_chain_ok
-        o_ok = o_ok and rep.order_chain_ok
+    reps = [embedding_chain_check(u, order, lower, p_values, window) for u in fields]
     cases = [
-        _case(f"norms decrease along p over {count} fields", _verdict(p_ok)),
-        _case("norms decrease when the order drops", _verdict(o_ok)),
+        _case(f"norms decrease along p over {count} fields", _verdict(all(r.p_chain_ok for r in reps))),
+        _case("norms decrease when the order drops", _verdict(all(r.order_chain_ok for r in reps))),
     ]
     order_sup = multi_order(0.75, (1,))
-    worst = 0.0
-    sup_ok = True
-    for u in fields:
-        rep = rl_sup_bound_check(u, order_sup)
-        ratio_chain = rep.sup <= rep.spectral_l1 * (1.0 + 1e-12) and rep.spectral_l1 <= rep.weighted_bound * (1.0 + 1e-12)
-        sup_ok = sup_ok and rep.passed and ratio_chain
-        worst = max(worst, rep.sup / max(rep.weighted_bound, 1e-300))
+    sups = [rl_sup_bound_check(u, order_sup) for u in fields]
+    sup_ok = all(
+        r.passed and r.sup <= r.spectral_l1 * (1.0 + 1e-12) and r.spectral_l1 <= r.weighted_bound * (1.0 + 1e-12) for r in sups
+    )
+    worst = max(0.0, *(r.sup / max(r.weighted_bound, 1e-300) for r in sups))
     cases.append(_case("sup norm through the spectrum bound, s=3/4", _verdict(sup_ok), max_ratio=worst))
     return cases, {}
 
@@ -527,11 +497,10 @@ def _suite_embedding_chain(cfg: dict, seed: int):
 def _suite_kato_product(cfg: dict, seed: int):
     spec = make_grid(1, cfg["samples_per_axis"])
     count = cfg["count"]
-    us = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 1, kmax=20), spec)
-    vs = realize_ensemble(spectral_ensemble(_child(seed, 1), count, 1, kmax=20), spec)
+    pairs = list(zip(_fields(seed, 0, count, spec), _fields(seed, 1, count, spec)))
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
     window = _default_window(spec)
-    rep = kato_product_check(list(zip(us, vs)), params, 2.0, 2.0, window)
+    rep = kato_product_check(pairs, params, 2.0, 2.0, window)
     verdict = _verdict(rep.max_ratio <= rep.reference_constant * float(cfg["slack"]))
     label = f"windowed product bound over {count} pairs, p=q=2"
     return [_case(label, verdict, max_ratio=rep.max_ratio, reference_constant=rep.reference_constant)], {}
@@ -546,17 +515,11 @@ def _suite_retraction(cfg: dict, seed: int):
     for n_res in cfg["resolutions"]:
         spec = make_grid(1, n_res)
         part = build_partition(spec, cells)
-        fields = realize_ensemble(spectral_ensemble(_child(seed, n_res), count, 1, kmax=20), spec)
-        worst = 0.0
-        ratio = 0.0
-        ok = True
-        for u in fields:
-            rep = retraction_roundtrip(u, part, order, tol=tol)
-            worst = max(worst, rep.roundtrip_sup_err)
-            ratio = max(ratio, rep.section_norm / max(rep.reference_norm, 1e-300))
-            ok = ok and rep.passed
+        reps = [retraction_roundtrip(u, part, order, tol=tol) for u in _fields(seed, n_res, count, spec)]
+        worst = max(0.0, *(r.roundtrip_sup_err for r in reps))
+        ratio = max(0.0, *(r.section_norm / max(r.reference_norm, 1e-300) for r in reps))
         label = f"section reassembly at {n_res} samples, {count} fields"
-        cases.append(_case(label, _verdict(ok), max_roundtrip_sup_err=worst, max_section_ratio=ratio))
+        cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_roundtrip_sup_err=worst, max_section_ratio=ratio))
     return cases, {}
 
 
@@ -570,6 +533,8 @@ def _suite_mollifier_rate(cfg: dict, seed: int):
     slope_tol = float(cfg["slope_tol"])
     fit_floor = float(cfg["fit_floor"])
     delta = float(cfg["delta"])
+    if len({e for e in epsilons if e >= fit_floor}) < 2:
+        raise HypothesisError(f"option 'fit_floor' = {fit_floor:g} leaves fewer than two distinct epsilons to fit the rate")
     cases = []
     rows = []
     for pair_index, (s, sp) in enumerate(cfg["pairs"]):
@@ -578,29 +543,17 @@ def _suite_mollifier_rate(cfg: dict, seed: int):
         order_s = multi_order(s, (1,))
         order_sp = multi_order(sp, (1,))
         ens = critical_ensemble(_child(seed, pair_index), count, 1, kmax, s, delta=delta)
-        fields = realize_ensemble(ens, spec)
-        slopes = []
-        bound_ok = True
-        young_ok = True
-        target = None
-        for j, u in enumerate(fields):
-            rep = mollifier_rate_check(u, order_s, order_sp, moll, epsilons, window=window)
-            # Fit only the upper part of the sweep: below fit_floor the
-            # ensemble's finite spectrum has no tail left to lose and the
-            # local slope steepens past the predicted rate.
-            kept = [(e, err) for e, err in zip(rep.epsilons, rep.errors) if e >= fit_floor]
-            log_e = np.log([e for e, _ in kept])
-            log_err = np.log([err for _, err in kept])
-            slopes.append(float(np.polyfit(log_e, log_err, 1)[0]))
-            bound_ok = bound_ok and rep.bound_ok
-            young_ok = young_ok and rep.young_ok
-            target = rep.slope_target
-            if j == 0:
-                for e, err, bnd in zip(rep.epsilons, rep.errors, rep.bounds):
-                    rows.append([f"{s:g}->{sp:g}", e, err, bnd])
+        reps = [mollifier_rate_check(u, order_s, order_sp, moll, epsilons, window=window) for u in realize_ensemble(ens, spec)]
+        # Fit only the upper part of the sweep: below fit_floor the
+        # ensemble's finite spectrum has no tail left to lose and the
+        # local slope steepens past the predicted rate.
+        kept = [[(e, err) for e, err in zip(r.epsilons, r.errors) if e >= fit_floor] for r in reps]
+        slopes = [float(np.polyfit(np.log([e for e, _ in k]), np.log([err for _, err in k]), 1)[0]) for k in kept]
         slope_med = float(np.median(slopes))
+        target = reps[-1].slope_target
+        rows.extend([f"{s:g}->{sp:g}", e, err, bnd] for e, err, bnd in zip(reps[0].epsilons, reps[0].errors, reps[0].bounds))
         label = f"two-power bound and Young contraction, orders {s:g}->{sp:g}"
-        cases.append(_case(label, _verdict(bound_ok and young_ok)))
+        cases.append(_case(label, _verdict(all(r.bound_ok for r in reps) and all(r.young_ok for r in reps))))
         label = f"realized rate on critically regular fields, orders {s:g}->{sp:g}"
         verdict = PASS if abs(slope_med - target) <= slope_tol else INCONCLUSIVE
         cases.append(_case(label, verdict, median_slope=slope_med, slope_target=target))
@@ -666,13 +619,11 @@ def _suite_calderon(cfg: dict, seed: int):
         )
     )
 
-    rows = []
-    for nodes in cfg["node_sweep"]:
-        probe = ContourSpec(
-            nodes_per_circle=nodes, tolerance=math.inf, drift_tolerance=math.inf
-        )
-        res = calderon_apply([u0], holo_exp(), probe)
-        rows.append([nodes, res.drift, res.pointwise_error])
+    sweep = [
+        calderon_apply([u0], holo_exp(), ContourSpec(nodes_per_circle=nodes, tolerance=math.inf, drift_tolerance=math.inf))
+        for nodes in cfg["node_sweep"]
+    ]
+    rows = [[nodes, res.drift, res.pointwise_error] for nodes, res in zip(cfg["node_sweep"], sweep)]
     plots = {"calderon-nodes.csv": (["nodes", "drift", "pointwise_error"], rows)}
     return cases, plots
 
@@ -680,7 +631,7 @@ def _suite_calderon(cfg: dict, seed: int):
 def _suite_sw_embedding(cfg: dict, seed: int):
     count = cfg["count"]
     order = multi_order(float(cfg["order"]), (1,))
-    p_values = [_parse_p(p) for p in cfg["p_values"]]
+    p_values = _p_values_with_two(cfg)
     bracket = float(cfg["bracket"])
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -731,28 +682,22 @@ def _suite_schatten(cfg: dict, seed: int):
     cases = []
     identity_track = []
     for n_res in cfg["resolutions"]:
-        period = self_dual_period(n_res)
-        sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
+        sym_spec = _symbol_grid(n_res)
         order = multi_order((2.0, 2.0), (1, 1))
 
-        worst_hs = 0.0
-        families = {}
-        for name in ("gaussian", "separable", "random"):
-            syms = symbol_family(name, sym_spec, 1, order, _child(seed, n_res + zlib.crc32(name.encode()) % 1000), count)
-            families[name] = syms
-            for sym in syms:
-                for tau in taus:
-                    worst_hs = max(worst_hs, hs_identity_gap(sym, tau))
+        # each family's gaps are taken before the next family is drawn
+        families = [
+            (syms, [hs_identity_gap(sym, tau) for sym in syms for tau in taus])
+            for name in ("gaussian", "separable", "random")
+            for syms in [symbol_family(name, sym_spec, 1, order, _child(seed, n_res + zlib.crc32(name.encode()) % 1000), count)]
+        ]
+        worst_hs = max(0.0, *(gap for _, gaps in families for gap in gaps))
         label = f"Hilbert-Schmidt identity across symbol families, {n_res} samples"
         cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
 
-        mono_ok = True
-        gaussian_ops = [quantize(sym, 0.5) for sym in families["gaussian"]]
-        for op in gaussian_ops:
-            n1 = schatten_norm(op, 1.0)
-            n2 = schatten_norm(op, 2.0)
-            ninf = schatten_norm(op, math.inf)
-            mono_ok = mono_ok and n1 >= n2 * (1.0 - 1e-12) and n2 >= ninf * (1.0 - 1e-12)
+        gaussian_ops = [quantize(sym, 0.5) for sym in families[0][0]]
+        norms = [(schatten_norm(op, 1.0), schatten_norm(op, 2.0), schatten_norm(op, math.inf)) for op in gaussian_ops]
+        mono_ok = all(n1 >= n2 * (1.0 - 1e-12) and n2 >= ninf * (1.0 - 1e-12) for n1, n2, ninf in norms)
         cases.append(_case(f"Schatten norms decrease in p, {n_res} samples", _verdict(mono_ok)))
 
         ones = field_from_values(sym_spec, np.ones(sym_spec.shape))
@@ -783,8 +728,7 @@ def _suite_schatten(cfg: dict, seed: int):
     center_box = tuple(float(v) for v in cfg["center_box"])
     width_range = tuple(float(v) for v in cfg["width_range"])
     for n_res in cfg["bound_resolutions"]:
-        period = self_dual_period(n_res)
-        sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
+        sym_spec = _symbol_grid(n_res)
         syms = symbol_family(
             "gaussian",
             sym_spec,
@@ -803,9 +747,7 @@ def _suite_schatten(cfg: dict, seed: int):
     label = "per-symbol trace-class quotient stability on localized symbols"
     cases.append(_stability_case(label, bound_track[0], bound_track[-1], float(cfg["stability_rtol"])))
 
-    n_res = cfg["resolutions"][0]
-    period = self_dual_period(n_res)
-    sym_spec = make_grid(2, n_res, period=period, blocks=(1, 1))
+    sym_spec = _symbol_grid(cfg["resolutions"][0])
     sweep_sym = symbol_family("gaussian", sym_spec, 1, multi_order((2.0, 2.0), (1, 1)), _child(seed, 7), 1)[0]
     sweep = tau_sweep_check(sweep_sym, 2.0)
     verdict = PASS if sweep.monotone_ok else INCONCLUSIVE
@@ -817,23 +759,16 @@ def _suite_coordinate_change(cfg: dict, seed: int):
     spec = make_grid(2, cfg["samples_per_axis"], blocks=(2,))
     count = cfg["count"]
     tol = float(cfg["tol"])
-    fields = realize_ensemble(spectral_ensemble(_child(seed, 0), count, 2, kmax=6), spec)
+    fields = _fields(seed, 0, count, spec, kmax=6)
     multipliers = [
         ("linear", lambda t: t),
         ("square root weight", lambda t: np.sqrt(1.0 + t)),
         ("heat factor", lambda t: np.exp(-t)),
     ]
     isometries = all_isometries(2)
-    worst = 0.0
-    ok = True
-    for u in fields:
-        for _, b in multipliers:
-            for iso in isometries:
-                rep = coordinate_change_check(u, b, iso, tol=tol)
-                worst = max(worst, rep.sup_err)
-                ok = ok and rep.passed
+    reps = [coordinate_change_check(u, b, iso, tol=tol) for u in fields for _, b in multipliers for iso in isometries]
     label = f"commutation over {len(isometries)} isometries and {len(multipliers)} multipliers"
-    cases = [_case(label, _verdict(ok), max_sup_err=worst)]
+    cases = [_case(label, _verdict(all(r.passed for r in reps)), max_sup_err=max(0.0, *(r.sup_err for r in reps)))]
     cases.append(
         _refusal_case(
             "non-lattice rotation is refused",
@@ -903,7 +838,7 @@ _SUITES: dict[str, tuple[Callable[[dict, int], tuple[list, dict]], str, dict]] =
             "resolutions": [128, 256],
             "count": 50,
             "p_values": [1.0, 2.0, "inf"],
-            "bracket": [0.02, 50.0],
+            "bracket": (0.02, 50.0),
             "stability_rtol": 0.10,
         },
     ),
@@ -931,7 +866,7 @@ _SUITES: dict[str, tuple[Callable[[dict, int], tuple[list, dict]], str, dict]] =
             "kmax": 500,
             "delta": 0.02,
             "epsilons": [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05],
-            "pairs": [[2.0, 1.0], [1.5, 1.0], [1.0, 0.75]],
+            "pairs": [(2.0, 1.0), (1.5, 1.0), (1.0, 0.75)],
             "slope_tol": 0.1,
             "fit_floor": 0.1,
         },
@@ -962,8 +897,8 @@ _SUITES: dict[str, tuple[Callable[[dict, int], tuple[list, dict]], str, dict]] =
             "count": 6,
             "taus": [0.0, 0.5, 1.0],
             "hs_tol": 1e-8,
-            "center_box": [1.5, 5.5],
-            "width_range": [0.5, 0.9],
+            "center_box": (1.5, 5.5),
+            "width_range": (0.5, 0.9),
             "stability_rtol": 0.10,
         },
     ),
@@ -1094,20 +1029,22 @@ def _load_config(path: str | None) -> dict:
             if key == "count" and not (_fits(value, 1) and value >= 1):
                 raise _UsageError(f"option 'count' of suite {sid!r} must be an integer >= 1, got {value!r}")
             if not _fits(value, defaults[key]):
-                raise _UsageError(
-                    f"option {key!r} of suite {sid!r} must have the type of its default {defaults[key]!r}, got {value!r}"
-                )
+                default = json.dumps(_jsonable(defaults[key]))
+                raise _UsageError(f"option {key!r} of suite {sid!r} must have the type of its default {default}, got {value!r}")
     return cfg
 
 
 def _fits(value, default) -> bool:
     """Whether a config value has the JSON type of its default: an integer, a
-    finite number, the string "inf", or a non-empty list each of whose
-    elements fits some element of the default.  (Python's JSON reader accepts
-    NaN and Infinity, which are not JSON: a NaN tolerance would read FAIL,
-    an infinite one PASS.)"""
+    finite number, the string "inf", a list as long as a tuple default whose
+    elements fit the tuple's in turn, or a non-empty list each of whose
+    elements fits some element of a list default.  (Python's JSON reader
+    accepts NaN and Infinity, which are not JSON: a NaN tolerance would read
+    FAIL, an infinite one PASS.)"""
     if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
         return False
+    if isinstance(default, tuple):
+        return isinstance(value, list) and len(value) == len(default) and all(map(_fits, value, default))
     if isinstance(default, list):
         return isinstance(value, list) and bool(value) and all(any(_fits(v, d) for d in default) for v in value)
     if isinstance(default, str):

@@ -229,6 +229,9 @@ def require_finite(samples: np.ndarray, what: str) -> None:
 
 
 def sup_norm(field: Field) -> float:
+    """Largest |u| over the samples.  Raises NonFiniteError when a sample is
+    NaN or infinite."""
+    require_finite(field.samples, "field")
     return float(np.max(np.abs(field.samples)))
 
 

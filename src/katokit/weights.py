@@ -17,6 +17,7 @@ written <<xi>>^s below.  Two facts carry the rest of the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -198,24 +199,21 @@ def weight_l1_norm(lam: float, n: int) -> float:
 
 
 def weight_l1_norm_quad(lam: float, n: int) -> float:
-    """Adaptive-quadrature evaluation of the same L^1 norm (cross-check route).
+    """Exp-sinh trapezoid evaluation of the same L^1 norm (cross-check route).
 
-    The only use of scipy in katokit; it is imported here so that importing
-    the package does not load it."""
-    from scipy import integrate
-
+    The radial integral of r^{n-1} (1 + r^2)^{-lam} over r > 0 is taken
+    through r = exp(pi/2 sinh t), step 1/64 on |t| <= 6 (Takahasi and Mori's
+    double-exponential rule); the integrand is formed in log form so that
+    neither end overflows."""
     lam = float(lam)
     if lam <= n / 2.0:
         raise HypothesisError(f"weight exponent lam={lam} must exceed n/2={n / 2.0} for integrability")
     surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-    val, _ = integrate.quad(
-        lambda r: r ** (n - 1) * (1.0 + r * r) ** (-lam),
-        0.0,
-        np.inf,
-        epsrel=1e-10,
-        limit=200,
-    )
-    return surface * val
+    h = 1.0 / 64.0
+    t = h * np.arange(-6 * 64, 6 * 64 + 1)
+    log_r = 0.5 * math.pi * np.sinh(t)
+    log_f = n * log_r - lam * np.logaddexp(0.0, 2.0 * log_r) + np.log(0.5 * math.pi * np.cosh(t))
+    return surface * h * float(np.sum(np.exp(log_f)))
 
 
 def conv_bound_constant(s: float, t: float, eps: float, n: int) -> float:
@@ -305,29 +303,19 @@ def _truncated_convolution(
     s: float, t: float, n: int, box: float, step: float, probes: np.ndarray
 ) -> np.ndarray:
     """Trapezoid-rule values of (<.>^{-2s} * <.>^{-2t})(xi) on a cube |eta|<=box."""
+    if n > 2:
+        raise HypothesisError(f"truncated convolution check supports block dimension 1 or 2, got {n}")
     axis = np.arange(-box, box + 0.5 * step, step)
     w = np.ones_like(axis)
     w[0] = w[-1] = 0.5
-    if n == 1:
-        eta = axis
-        weight_t = (1.0 + eta**2) ** (-t) * w
-        out = np.empty(len(probes))
-        for i, xi in enumerate(probes):
-            weight_s = (1.0 + (xi - eta) ** 2) ** (-s)
-            out[i] = step * float(np.sum(weight_s * weight_t))
-        return out
-    if n == 2:
-        e1, e2 = np.meshgrid(axis, axis, indexing="ij")
-        ww = np.outer(w, w)
-        weight_t = (1.0 + e1**2 + e2**2) ** (-t) * ww
-        out = np.empty(len(probes))
-        for i, xi in enumerate(probes):
-            d1 = xi[0] - e1
-            d2 = xi[1] - e2
-            weight_s = (1.0 + d1**2 + d2**2) ** (-s)
-            out[i] = step * step * float(np.sum(weight_s * weight_t))
-        return out
-    raise HypothesisError(f"truncated convolution check supports block dimension 1 or 2, got {n}")
+    eta = np.meshgrid(*[axis] * n, indexing="ij")
+    weight_t = sum((e**2 for e in eta), 1.0) ** (-t) * functools.reduce(np.multiply.outer, [w] * n)
+    volume = math.prod([step] * n)
+    out = np.empty(len(probes))
+    for i, xi in enumerate(np.reshape(probes, (len(probes), n))):
+        weight_s = sum(((x - e) ** 2 for x, e in zip(xi, eta)), 1.0) ** (-s)
+        out[i] = volume * float(np.sum(weight_s * weight_t))
+    return out
 
 
 @dataclass(frozen=True)

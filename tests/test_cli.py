@@ -266,6 +266,32 @@ def test_verify_all_keeps_the_other_suites(tmp_path, capsys, monkeypatch, order)
     assert summary["overall"] == "FAIL"
 
 
+@pytest.mark.parametrize(
+    "suite, overrides, named",
+    [
+        ("window-independence", {"p_values": [1.0]}, "p_values"),
+        ("sw-embedding", {"p_values": [1.0, 1.5]}, "p_values"),
+        ("mollifier-rate", {"fit_floor": 1.0}, "fit_floor"),
+        ("mollifier-rate", {"epsilons": [0.4, 0.4]}, "fit_floor"),
+    ],
+)
+def test_verify_all_lists_a_suite_its_options_cannot_run(tmp_path, capsys, monkeypatch, suite, overrides, named):
+    # a value of the right type that the suite cannot use is refused by the
+    # suite, naming the option; the other suites still run
+    monkeypatch.setattr(cli, "_SUITES", {sid: cli._SUITES[sid] for sid in (suite, "spectral-exactness")})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {suite: overrides}}))
+    out = tmp_path / "r"
+    rc = main(["verify", "all", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+    assert rc == 2
+    assert f"error: {suite}: option {named!r}" in capsys.readouterr().err
+    for name in ("spectral-exactness.json", "spectral-exactness-cases.csv"):
+        assert (out / name).exists()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] == {"spectral-exactness": "PASS"}
+    assert summary["errors"] == {suite: "HypothesisError"}
+
+
 def test_verify_errored_suite_does_not_read_pass(tmp_path, capsys):
     # the only suite raises: no verdicts, and the run reads FAIL, not PASS
     cfg = tmp_path / "cfg.json"
@@ -317,6 +343,10 @@ def test_verify_refuses_count_below_one(tmp_path, capsys, count):
         ("embedding-chain", "p_values", [1.0, "many"]),
         ("window-independence", "p_values", []),
         ("mollifier-rate", "pairs", [[2.0, 1.0], [1.5, True]]),
+        ("window-independence", "bracket", [0.02]),
+        ("mollifier-rate", "pairs", [[2.0]]),
+        ("schatten", "center_box", [1.5, 5.5, 7.0]),
+        ("schatten", "width_range", [0.5]),
     ],
 )
 def test_verify_refuses_option_of_another_type(tmp_path, capsys, suite, option, value):
@@ -478,10 +508,18 @@ def test_usage_error_is_exit_two(capsys):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy costs most of the start-up; only weight_l1_norm_quad imports it
+    # numpy is the one runtime dependency: importing every katokit module (as
+    # test_exports enumerates them) and running the quadrature cross-check
+    # that once used scipy loads no scipy module
     src = str(Path(katokit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, katokit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = (
+        "import importlib, pkgutil, sys, katokit\n"
+        "for m in pkgutil.iter_modules(katokit.__path__):\n"
+        "    importlib.import_module(f'katokit.{m.name}')\n"
+        "katokit.weights.weight_l1_norm_quad(1.5, 1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -33,6 +33,7 @@ from katokit.grid import (
     rescaled,
     save_field,
     smooth_step,
+    sup_norm,
     to_spectrum,
     translate,
     translates,
@@ -358,6 +359,20 @@ def test_mollify_rejects_non_finite_sample(value):
     samples[9] = value
     with pytest.raises(NonFiniteError, match=r"field: 1 non-finite sample\(s\), the first at flat index 9$"):
         mollify(Field(spec, samples), make_mollifier(spec, epsilon=0.3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=8 * 8 - 1),
+    value=st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)]),
+)
+def test_sup_norm_rejects_non_finite_sample_anywhere(index, value):
+    # max |u| over samples with a NaN is NaN, not a norm
+    spec = make_grid(2, 8)
+    samples = np.ones(spec.num_points, dtype=np.complex128)
+    samples[index] = value
+    with pytest.raises(NonFiniteError, match=rf"field: 1 non-finite sample\(s\), the first at flat index {index}$"):
+        sup_norm(Field(spec, samples.reshape(spec.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Bracket weights, the shifted-weight inequality and convolution constants.
 
 Property statements are written out next to each test.  The closed-form
-L^1 norms are cross-checked against adaptive quadrature before any
+L^1 norms are cross-checked against an exp-sinh quadrature before any
 constant built from them is trusted.
 """
 
