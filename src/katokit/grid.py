@@ -216,7 +216,9 @@ def from_spectrum(spec: GridSpec, coeffs: np.ndarray) -> Field:
 
 
 def l2_norm(field: Field) -> float:
-    """Discrete L^2 norm ((L/N)^n sum |u|^2)^{1/2}."""
+    """Discrete L^2 norm ((L/N)^n sum |u|^2)^{1/2}.  Raises NonFiniteError
+    when a sample is NaN or infinite."""
+    require_finite(field.samples, "field")
     return float(math.sqrt(field.spec.cell_volume * float(np.sum(np.abs(field.samples) ** 2))))
 
 

@@ -579,6 +579,8 @@ def mollifier_rate_check(
     """
     if not order_s.dominates(order_sp):
         raise HypothesisError("rate check needs s' <= s componentwise")
+    if len({float(e) for e in epsilons}) < 2:
+        raise HypothesisError(f"epsilons must hold at least two distinct values to fit the rate, got {list(epsilons)}")
     theta = min(min(a - b for a, b in zip(order_s.s, order_sp.s)), 1.0)
     if theta < 0.0:
         raise HypothesisError("rate exponent theta must be nonnegative")

@@ -308,7 +308,7 @@ def _truncated_convolution(
     axis = np.arange(-box, box + 0.5 * step, step)
     w = np.ones_like(axis)
     w[0] = w[-1] = 0.5
-    eta = np.meshgrid(*[axis] * n, indexing="ij")
+    eta = np.meshgrid(*[axis] * n, indexing="ij", sparse=True)
     weight_t = sum((e**2 for e in eta), 1.0) ** (-t) * functools.reduce(np.multiply.outer, [w] * n)
     volume = math.prod([step] * n)
     out = np.empty(len(probes))

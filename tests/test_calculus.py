@@ -295,23 +295,40 @@ def test_contour_evaluates_the_fine_grid_once(d):
 
 
 def test_contour_result_survives_a_function_returning_its_argument():
-    # 2-D N=16 with 64 nodes per circle evaluates in eight chunks of one
-    # reused node buffer; z[0] is a view into it, and must be contracted
-    # before the next chunk rewrites the buffer
+    # 2-D N=16 with 64 nodes per circle evaluates its 128 first-variable rows
+    # one call each, in one reused node buffer; z[0] is a view into it, and
+    # must be contracted before the next row rewrites the buffer
     values, smoothed, _ = _doubling_case(2)
     nodes = 64
-    chunks = []
+    calls = []
 
     def first(z):
-        chunks.append(z.shape[1])
+        calls.append(z.shape[1])
         return z[0]
 
     coarse, fine = calculus._contour_sums(values, smoothed, HoloFn(2, first, entire_domain(2)), 0.5, nodes)
-    assert len(chunks) == 8 and sum(chunks) == 2 * nodes
+    assert calls == [1] * (2 * nodes)
     copying = HoloFn(2, lambda z: np.array(z[0]), entire_domain(2))
     want_coarse, want_fine = calculus._contour_sums(values, smoothed, copying, 0.5, nodes)
     assert np.array_equal(coarse, want_coarse) and np.array_equal(fine, want_fine)
     assert np.max(np.abs(fine - values[0])) <= 1e-12
+
+
+@pytest.mark.parametrize("d, n, nodes", [(2, 16, 16), (2, 8, 64), (3, 4, 8)])
+def test_contour_evaluates_one_node_row_per_call(d, n, nodes):
+    # at d >= 2 every call gets the nodes of one first-variable row:
+    # shape (d, 1, 2n, .., 2n, N^n), with 2n repeated d - 1 times
+    spec = make_grid(d, n)
+    values = 2.0 + np.random.default_rng(20).random((d,) + spec.shape).astype(complex)
+    smoothed = values + 0.05
+    shapes = []
+
+    def spy(z):
+        shapes.append(z.shape)
+        return z[0] * z[-1]
+
+    calculus._contour_sums(values, smoothed, HoloFn(d, spy, entire_domain(d)), 0.5, nodes)
+    assert shapes == [(d, 1) + (2 * nodes,) * (d - 1) + (spec.num_points,)] * (2 * nodes)
 
 
 def test_contour_refuses_a_function_that_writes_into_its_argument():
@@ -330,10 +347,10 @@ def test_contour_refuses_a_function_that_writes_into_its_argument():
 
 
 def test_contour_holds_one_node_buffer():
-    # at d=2 N=32 the node buffer is 16 MiB (4 rows of 128 x 1024 nodes per
-    # variable), one chunk's values 8 MiB and the weights 4 MiB: ~30 MiB.
-    # A second node buffer, or a chunk's values kept alive while the next
-    # chunk is evaluated, adds 8 MiB or more. numpy reports its buffers to
+    # at d=2 N=32 the node buffer is 4 MiB (one row of 128 x 1024 nodes per
+    # variable), one row's values 2 MiB and the weights 4 MiB: ~12 MiB.
+    # A row's values kept alive while the next row is evaluated adds 2 MiB,
+    # a buffer of more rows 4 MiB or more. numpy reports its buffers to
     # tracemalloc.
     spec = make_grid(2, 32, blocks=(2,))
     fields = [positive_field(spec, seed=30 + k, kmax=4) for k in range(2)]
@@ -345,7 +362,7 @@ def test_contour_holds_one_node_buffer():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert 16 * 2**20 <= peak <= 34 * 2**20
+    assert 4 * 2**20 <= peak <= 13 * 2**20
 
 
 def test_drift_gate_compares_the_doubled_sums():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,23 @@ def test_verify_peetre_passes(tmp_path, capsys):
     assert all(case["max_ratio"] <= 1.0 for case in report["cases"] if "max_ratio" in case)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["overall"] == "PASS"
+
+
+@pytest.mark.parametrize("suite", ["calderon", "weight-conv"])
+def test_verify_suite_traced_peak_under_ceiling(tmp_path, suite):
+    # at seed 7 calderon traces ~13 MiB with one contour node row per call
+    # (31 MiB with four-row chunks), weight-conv ~16 MiB summing over an
+    # open grid (24 MiB with dense coordinates). numpy reports its buffers
+    # to tracemalloc.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rc = main(["verify", suite, "--out", str(tmp_path / "rep"), "--seed", "7"])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 20 * 2**20
 
 
 def test_verify_mollifier_rate_slope_near_unit_gap(tmp_path):

@@ -21,6 +21,7 @@ from katokit.grid import (
     field_from_values,
     frequency_axes,
     from_spectrum,
+    l2_norm,
     lattice_shifts,
     load_field,
     make_bump,
@@ -373,6 +374,20 @@ def test_sup_norm_rejects_non_finite_sample_anywhere(index, value):
     samples[index] = value
     with pytest.raises(NonFiniteError, match=rf"field: 1 non-finite sample\(s\), the first at flat index {index}$"):
         sup_norm(Field(spec, samples.reshape(spec.shape)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    index=st.integers(min_value=0, max_value=8 * 8 - 1),
+    value=st.sampled_from([complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0), complex(1.0, -np.inf)]),
+)
+def test_l2_norm_rejects_non_finite_sample_anywhere(index, value):
+    # sum |u|^2 over samples with a NaN is NaN, not a norm
+    spec = make_grid(2, 8)
+    samples = np.ones(spec.num_points, dtype=np.complex128)
+    samples[index] = value
+    with pytest.raises(NonFiniteError, match=rf"field: 1 non-finite sample\(s\), the first at flat index {index}$"):
+        l2_norm(Field(spec, samples.reshape(spec.shape)))
 
 
 # ---------------------------------------------------------------------------

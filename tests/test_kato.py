@@ -713,6 +713,20 @@ def test_rate_slope_matches_order_gap():
     assert 0.9 <= float(np.median(slopes)) <= 1.1
 
 
+@pytest.mark.parametrize("epsilons", [[0.4], [0.4, 0.4]])
+def test_rate_refuses_fewer_than_two_distinct_epsilons(epsilons):
+    # one epsilon, or one repeated, leaves no slope to fit
+    spec = make_grid(1, 256)
+    with pytest.raises(HypothesisError, match="epsilons"):
+        mollifier_rate_check(
+            rng_field(spec, 150),
+            multi_order(2.0, (1,)),
+            multi_order(1.0, (1,)),
+            make_mollifier(spec),
+            epsilons,
+        )
+
+
 def test_rate_requires_order_domination():
     spec = make_grid(1, 256)
     moll = make_mollifier(spec)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from katokit.errors import HypothesisError, ShapeError
 from katokit.weights import (
+    _truncated_convolution,
     bracket,
     conv_bound_constant,
     multi_order,
@@ -215,6 +216,20 @@ def test_two_block_convolution_tensor_factorization():
     g2 = (1.0 + eta**2) ** (-t)
     two_d = step * step * float(np.einsum("i,j->", f1 * g1, f2 * g2))
     assert two_d == pytest.approx(one_d[0] * one_d[1], rel=1e-10)
+
+
+def test_truncated_convolution_at_n2_matches_dense_coordinates():
+    # the open-grid coordinates add the same squares in the same order as
+    # dense meshgrid coordinates, so the sums agree bit for bit
+    box, step, s, t = 6.0, 0.1, 0.8, 0.7
+    probes = np.array([[0.0, 0.0], [0.7, -1.3], [3.05, 2.5], [-6.0, 6.0]])
+    axis = np.arange(-box, box + 0.5 * step, step)
+    w = np.ones_like(axis)
+    w[0] = w[-1] = 0.5
+    e0, e1 = np.meshgrid(axis, axis, indexing="ij")
+    weight_t = (1.0 + e0**2 + e1**2) ** (-t) * np.multiply.outer(w, w)
+    want = [step * step * float(np.sum((1.0 + (x0 - e0) ** 2 + (x1 - e1) ** 2) ** (-s) * weight_t)) for x0, x1 in probes]
+    assert np.array_equal(_truncated_convolution(s, t, 2, box, step, probes), want)
 
 
 def test_conv_check_two_blocks():
