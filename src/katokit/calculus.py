@@ -199,10 +199,11 @@ class HoloFn:
 
     `evaluate` receives a stacked array of shape (d, ...) and returns (...).
     The contour passes it read-only views of one node buffer that it reuses
-    from call to call, for d >= 2 one first-variable node row of shape
-    (d, 1, 2n, .., 2n, N^n) per call: it may return a view of its argument,
-    and writing into the argument raises ValueError.  Missing partials fall
-    back to symmetric differences with relative step 1e-6 (1 + |z_k|).
+    from call to call, one first-variable node row of shape
+    (d, 1, 2n, .., 2n, N^n) per call, (1, 1, N^n) at d = 1: it may return a
+    view of its argument, and writing into the argument raises ValueError.
+    Missing partials fall back to symmetric differences with relative step
+    1e-6 (1 + |z_k|).
     """
 
     arity: int
@@ -416,9 +417,6 @@ class CalderonResult:
     diameter: float
 
 
-_CHUNK_ELEMENTS = 1 << 19
-
-
 def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
     """sum over a_1..a_d of vals[a_1, .., a_d, x] prod_k weights[k][a_k, x],
     one variable at a time from the last."""
@@ -439,13 +437,11 @@ def _contour_sums(
     zeta / n is exactly twice zeta / 2n, so the coarse sum is 2^d times the
     same contraction over the even sub-tensor.
 
-    For d >= 2 fn is called once per first-variable node row, the (2n)^(d-1)
-    tuples sharing that node at every sample, and each row's values are
-    contracted over variables d..2 before the next row is evaluated.  The
-    contraction over variable 1 runs over groups of rows of at most
-    _CHUNK_ELEMENTS points (one row where a row is larger); the groups fix
-    the order of summation, hence the last bits of both sums.
-    For d = 1 a row is one point per sample, and fn takes a whole group.
+    fn is called once per first-variable node, on the row of (2n)^(d-1)
+    tuples sharing that node at every sample (one point per sample at d = 1).
+    Each row's values are contracted over variables d..2, then weighed by the
+    first variable's weight at the row's node, and added into both sums in
+    node order: that order fixes the last bits of the sums.
     """
     d = values.shape[0]
     flat_u = values.reshape(d, -1)
@@ -457,48 +453,27 @@ def _contour_sums(
     for k in range(d):
         poles = zeta[:, None] + flat_v[k][None, :] - flat_u[k][None, :]
         np.divide((zeta / fine)[:, None], poles, out=weights[k])
-    rows = min(fine, max(1, _CHUNK_ELEMENTS // (fine ** (d - 1) * npts)))
     coarse = np.zeros(npts, dtype=np.complex128)
     total = np.zeros(npts, dtype=np.complex128)
     # one node buffer for every call: variables 2..d do not depend on the
     # first variable's node and are filled once, variable 1 is rewritten per call
-    nodes_buf = np.empty((d, rows if d == 1 else 1) + (fine,) * (d - 1) + (npts,), dtype=np.complex128)
+    nodes_buf = np.empty((d, 1) + (fine,) * (d - 1) + (npts,), dtype=np.complex128)
     for k in range(1, d):
         axis = [1] * (d + 1)
         axis[k] = -1
         np.add(flat_v[k], zeta.reshape(axis), out=nodes_buf[k])
-
-    def evaluate(lo: int, hi: int) -> np.ndarray:
-        np.add(flat_v[0], zeta[lo:hi].reshape((-1,) + (1,) * d), out=nodes_buf[0, : hi - lo])
-        # fn sees a read-only view, so it cannot corrupt the nodes of later calls
-        z = nodes_buf[:, : hi - lo]
-        z.flags.writeable = False
-        return np.asarray(fn.evaluate(z), dtype=np.complex128)
-
-    if d > 1:
-        # each row contracted over variables d..2 at once, for the fine sum
-        # and for the even sub-tensor
-        row_sums = np.empty((rows, npts), dtype=np.complex128)
-        even_sums = np.empty(((rows + 1) // 2, npts), dtype=np.complex128)
-        even_tuples = (slice(None),) + (slice(None, None, 2),) * (d - 1)
-    for start in range(0, fine, rows):
-        stop = min(start + rows, fine)
-        first = slice(start % 2, None, 2)  # the rows of even global index
-        lead, even_lead = weights[0, start:stop], weights[0, start:stop][first]
-        if d == 1:
-            part = evaluate(start, stop)
-            even = part[first]
-        else:
-            for a in range(start, stop):
-                vals = evaluate(a, a + 1)
-                row_sums[a - start] = _contract(vals, weights[1:])[0]
-                if a % 2 == 0:
-                    even_sums[(a - start) // 2] = _contract(vals[even_tuples], weights[1:, ::2])[0]
-                del vals  # else a row's values stay alive while fn evaluates the next
-            part, even = row_sums[: stop - start], even_sums[: len(even_lead)]
-        total += _contract(part, [lead])
-        coarse += _contract(even, [even_lead])
-        del part, even  # at d = 1 these are the group's values
+    # fn sees a read-only view, so it cannot corrupt the nodes of later calls
+    z = nodes_buf.view()
+    z.flags.writeable = False
+    even_tuples = (slice(None),) + (slice(None, None, 2),) * (d - 1)
+    for a in range(fine):
+        np.add(flat_v[0], zeta[a], out=nodes_buf[0])
+        vals = np.asarray(fn.evaluate(z), dtype=np.complex128)
+        lead = weights[0, a : a + 1]
+        total += _contract(vals, [lead, *weights[1:]])
+        if a % 2 == 0:
+            coarse += _contract(vals[even_tuples], [lead, *weights[1:, ::2]])
+        del vals  # else a row's values stay alive while fn evaluates the next
     shape = values.shape[1:]
     return (2.0**d * coarse).reshape(shape), total.reshape(shape)
 

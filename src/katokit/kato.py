@@ -159,6 +159,10 @@ def translation_shifts(
 # One block of windowed spectra: its product, spectrum and magnitudes stay in cache.
 _BLOCK_ELEMENTS = 1 << 15
 
+# Terms of one einsum row sum: numpy's iterator buffer, within which a row is
+# summed in one order whatever the row count.
+_SUM_TERMS = 8192
+
 
 def windowed_spectra(
     field: Field,
@@ -315,13 +319,13 @@ def windowed_norms(field: Field, window: Window, shifts: np.ndarray, order: Mult
         parts = coeffs.reshape(coeffs.shape[0], -1).view(float)
         np.square(parts, out=parts)
         # one sum per row, not a BLAS product, whose rounding varies with the
-        # row count: no norm depends on the block its shift falls in.  Past
-        # 8192 terms einsum sums a lone row in another order than a row of a
-        # stack, so a one-row block is summed as a stack of two copies of it.
-        if parts.shape[0] == 1:
-            sq[start] = np.einsum("ij,j->i", np.broadcast_to(parts, (2, parts.shape[1])), w_sq)[0]
-        else:
-            np.einsum("ij,j->i", parts, w_sq, out=sq[start : start + parts.shape[0]])
+        # row count, in chunks of _SUM_TERMS terms added left to right: einsum
+        # sums a chunk that size the same way in a lone row and in a stack,
+        # so no norm depends on the block its shift falls in
+        rows = sq[start : start + parts.shape[0]]
+        np.einsum("ij,j->i", parts[:, :_SUM_TERMS], w_sq[:_SUM_TERMS], out=rows)
+        for lo in range(_SUM_TERMS, parts.shape[1], _SUM_TERMS):
+            rows += np.einsum("ij,j->i", parts[:, lo : lo + _SUM_TERMS], w_sq[lo : lo + _SUM_TERMS])
         start += parts.shape[0]
     vol = spec.period**spec.dim
     return np.sqrt(vol * sq)

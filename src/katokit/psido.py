@@ -182,11 +182,7 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     # and the twist or the gathered entries
     stage = np.fft.fftn(symbol.field.samples, axes=x_axes)
     np.fft.ifftn(stage, axes=xi_axes, out=stage)
-    # The twist must stay an unnamed temporary: from 256 KiB on, numpy elides
-    # it and evaluates this product as twist *= stage, and below that as
-    # stage * twist.  The SIMD complex multiply is not bitwise commutative, so
-    # writing the product either way explicitly moves the entries by an ulp.
-    stage = stage * _twist(tau_mat, num)
+    np.multiply(stage, _twist(tau_mat, num), out=stage)
     np.fft.ifftn(stage, axes=x_axes, out=stage)
     # entry (i, j) of the kernel is stage[i, (i - j) mod N]: gather it through
     # broadcast index vectors, rows i on axes 0..n-1 and columns j on n..2n-1

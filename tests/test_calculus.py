@@ -258,14 +258,8 @@ def _trapezoid_by_node_tuple(values, smoothed, fn, rho, nodes):
 
 
 @pytest.mark.parametrize("d, nodes", [(1, 64), (2, 16)])
-@pytest.mark.parametrize("rows", [None, 3])
-def test_contour_sums_match_node_tuple_loop(monkeypatch, d, nodes, rows):
-    # rows=3 splits the first variable's 2n nodes into chunks of three rows,
-    # so every other chunk starts on an odd node
+def test_contour_sums_match_node_tuple_loop(d, nodes):
     values, smoothed, fn = _doubling_case(d)
-    if rows is not None:
-        npts = values[0].size
-        monkeypatch.setattr(calculus, "_CHUNK_ELEMENTS", rows * (2 * nodes) ** (d - 1) * npts)
     coarse, fine = calculus._contour_sums(values, smoothed, fn, 0.5, nodes)
     for got, count in ((coarse, nodes), (fine, 2 * nodes)):
         want = _trapezoid_by_node_tuple(values, smoothed, fn, 0.5, count)
@@ -287,10 +281,10 @@ def test_contour_evaluates_the_fine_grid_once(d):
     nodes = ContourSpec().nodes_per_circle
     result = calderon_apply(fields, fn)
     npts = spec.num_points
-    # the contour chunks, then the pointwise check on the samples themselves
-    assert sum(sizes[:-1]) == (2 * nodes) ** d * npts
+    # one node row per first-variable node, then the pointwise check on the
+    # samples themselves
+    assert sizes[:-1] == [(2 * nodes) ** (d - 1) * npts] * (2 * nodes)
     assert sizes[-1] == npts
-    assert max(sizes) <= max(calculus._CHUNK_ELEMENTS, (2 * nodes) ** (d - 1) * npts)
     assert result.nodes_used == 2 * nodes
 
 
@@ -314,10 +308,10 @@ def test_contour_result_survives_a_function_returning_its_argument():
     assert np.max(np.abs(fine - values[0])) <= 1e-12
 
 
-@pytest.mark.parametrize("d, n, nodes", [(2, 16, 16), (2, 8, 64), (3, 4, 8)])
+@pytest.mark.parametrize("d, n, nodes", [(1, 64, 64), (2, 16, 16), (2, 8, 64), (3, 4, 8)])
 def test_contour_evaluates_one_node_row_per_call(d, n, nodes):
-    # at d >= 2 every call gets the nodes of one first-variable row:
-    # shape (d, 1, 2n, .., 2n, N^n), with 2n repeated d - 1 times
+    # every call gets the nodes of one first-variable row: shape
+    # (d, 1, 2n, .., 2n, N^n), with 2n repeated d - 1 times
     spec = make_grid(d, n)
     values = 2.0 + np.random.default_rng(20).random((d,) + spec.shape).astype(complex)
     smoothed = values + 0.05

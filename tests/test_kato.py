@@ -31,7 +31,7 @@ from katokit.grid import (
     window_from_samples,
 )
 from katokit.weights import multi_order, sigma_params
-from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio, weight_mesh
+from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio
 from katokit import kato
 from katokit.psido import sw_norm
 from katokit.kato import (
@@ -145,23 +145,18 @@ def test_translation_shifts_refuse_bad_counts(scheme):
         kato_norm(constant_field(spec), amalgam_spec(multi_order(1.0, (1,)), 2.0, default_window(spec), scheme))
 
 
-def unblocked_norms(spectra, spec, order):
-    """Norms of one reduction over every row of `spectra`: w^2 times the
-    squared (re, im) parts, summed by einsum as rows of a stack.  Past 8192
-    terms einsum sums a lone row in another order, so one row is stacked
-    with a copy of itself."""
-    w_sq = np.repeat(weight_mesh(spec, order).ravel() ** 2, 2)
-    rows = spectra.reshape(spectra.shape[0], spec.num_points).view(float)
-    stack = np.concatenate([rows, rows]) if rows.shape[0] == 1 else rows
-    return np.sqrt(spec.period**spec.dim * np.einsum("ij,j->i", stack**2, w_sq)[: rows.shape[0]])
+def norms_one_shift_at_a_time(u, chi, shifts, order):
+    """`windowed_norms` of each shift alone, in a call of its own."""
+    return np.array([windowed_norms(u, chi, shifts[i : i + 1], order)[0] for i in range(len(shifts))])
 
 
-@pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64), (3, 32)])
+# 2-D N=128 sums rows of more than 8192 terms; 3-D N=32 makes one-row blocks
+@pytest.mark.parametrize("dim, n_samp", [(1, 1024), (2, 64), (2, 128), (3, 32)])
 @pytest.mark.parametrize("scheme", [ContinuousScheme(), LatticeScheme(8)])
 def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
     # shift counts around the block row count, checked against an
-    # independent per-translate loop and against one unblocked spectra call,
-    # for a real window and a modulated (complex) one
+    # independent per-translate loop and, bit for bit, against each shift
+    # alone, for a real window and a modulated (complex) one
     spec = make_grid(dim, n_samp)
     order = multi_order(1.5, (dim,))
     real = default_window(spec)
@@ -181,7 +176,7 @@ def test_windowed_norms_across_block_boundaries(dim, n_samp, scheme):
             ]
             assert got.shape == (g,)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-            assert np.array_equal(got, unblocked_norms(windowed_spectra(u, chi, shifts), spec, order))
+            assert np.array_equal(got, norms_one_shift_at_a_time(u, chi, shifts, order))
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +244,8 @@ def test_two_stage_spectra_match_per_translate_loop(dim, window, picks, seed):
     spectra = windowed_spectra(u, chi, shifts)
     for i in range(len(shifts)):
         assert np.array_equal(spectra[i], windowed_spectra(u, chi, shifts[i : i + 1])[0])
-    # nor on the block its shift falls in: the blocked norms equal the same
-    # per-row reduction of one unblocked call, bit for bit
-    assert np.array_equal(got, unblocked_norms(spectra, spec, order))
+    # nor does its norm, bit for bit, whatever block its shift falls in
+    assert np.array_equal(got, norms_one_shift_at_a_time(u, chi, shifts, order))
 
 
 def count_calls(monkeypatch, name):

@@ -26,7 +26,7 @@ from katokit.grid import (
     plane_wave,
 )
 from katokit.weights import multi_order
-from katokit import kato
+from katokit import kato, psido
 from katokit.kato import ContinuousScheme, translation_shifts, windowed_spectra
 from katokit.psido import (
     GridIsometry,
@@ -282,6 +282,22 @@ def test_quantize_holds_two_symbol_sized_arrays():
         tracemalloc.stop()
     symbol_bytes = sym.field.samples.nbytes
     assert op.entries.nbytes == symbol_bytes <= peak <= 2.75 * symbol_bytes
+
+
+@pytest.mark.parametrize("num", [64, 256])
+def test_quantize_multiplies_the_stage_by_the_twist(num):
+    # the twist product is stage * twist on both sides of numpy's 256 KiB
+    # threshold for eliding temporaries (64 KiB at N=64, 1 MiB at N=256);
+    # the complex multiply is not bitwise commutative, so the order shows
+    spec = symbol_grid(num, period=self_dual_period(num))
+    rng = np.random.default_rng(num)
+    samples = rng.standard_normal(spec.shape) + 1j * rng.standard_normal(spec.shape)
+    op = quantize(make_symbol(Field(spec, samples), 1, multi_order((0.0, 0.0), (1, 1))), 0.3)
+    stage = np.fft.ifft(np.fft.fft(samples, axis=0), axis=1)
+    twist = psido._twist(np.array([[0.3]]), num)
+    stage = np.fft.ifft(stage * twist, axis=0)
+    rows = np.arange(num)[:, None]
+    assert np.array_equal(op.entries, stage[rows, (rows - rows.T) % num])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from katokit.ensembles import realize_ensemble, spectral_ensemble
-from katokit.errors import HypothesisError, NonFiniteError, ShapeError
+from katokit.errors import HypothesisError, NonFiniteError, PartitionError, ShapeError
 from katokit.grid import (
     Field,
     constant_field,
@@ -22,8 +22,10 @@ from katokit.grid import (
     make_bump,
     make_grid,
     plane_wave,
+    window_from_factors,
     window_from_samples,
 )
+from katokit import sobolev
 from katokit.weights import multi_order, sigma_params
 from katokit.sobolev import (
     bessel_apply,
@@ -338,6 +340,25 @@ def test_master_lattice_periodization_is_one(dim):
     axes = tuple(range(dim))
     total = sum(np.roll(master, tuple(k * stride for k in g), axis=axes) for g in np.ndindex(*([cells] * dim)))
     assert np.max(np.abs(total - 1.0)) < 1e-10
+
+
+def test_partition_build_holds_no_translate_tile():
+    # the periodization check runs on the 1-D factor: no (2N)^n tile of the
+    # master is built, and none stays cached on the returned partition
+    part = build_partition(make_grid(3, 64), cells_per_axis=2)
+    assert "translate_tile" not in vars(part.master)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_master_periodization_check_refuses_a_corrupted_factor(monkeypatch, dim):
+    def corrupted(spec, factors):
+        factor = factors[0].copy()
+        factor[np.argmax(factor)] *= 1.0 + 1e-9
+        return window_from_factors(spec, (factor,) * spec.dim)
+
+    monkeypatch.setattr(sobolev, "window_from_factors", corrupted)
+    with pytest.raises(PartitionError, match="lattice periodization is not 1"):
+        build_partition(make_grid(dim, 64), cells_per_axis=2)
 
 
 def test_master_vanishes_outside_wrapped_interval():
