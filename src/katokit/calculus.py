@@ -359,42 +359,42 @@ def range_diameter(fields: Sequence[Field]) -> float:
     return diam
 
 
+# The contour geometry.  The margin radius r is an eighth of the range's
+# distance to the domain boundary, and the circles have radius 3r: around a
+# proxy v that lies within r of u they stay inside the domain (4r is half
+# the distance), and the poles zeta = u - v lie inside them.  Smoothing
+# starts at epsilon 0.4 and halves, at most 16 times, until v lies within
+# r of u.
+_RADIUS_FACTOR = 0.125
+_CONTOUR_RADIUS_IN_R = 3.0
+_EPS_START = 0.4
+_MAX_HALVINGS = 16
+
+
 @dataclass(frozen=True)
 class ContourSpec:
-    """Geometry and gates for the Cauchy representation.
+    """Node count, mollifier radius and gates of the Cauchy representation.
 
-    radius_factor scales the range-to-complement distance into the margin
-    radius r; the circles have radius contour_radius_in_r * r.  Smoothing
-    starts at eps_start and halves until the sup-norm margin drops below r
-    or the kernel stops being resolvable.
+    The trapezoid rule uses nodes_per_circle nodes per circle, checked
+    against twice as many: the node-doubling drift must stay within
+    drift_tolerance and the result within tolerance of the pointwise
+    evaluation.  mollifier_radius is the support radius of the smoothing
+    kernel at epsilon 1, below half the grid's period.
     """
 
-    radius_factor: float = 0.125
     nodes_per_circle: int = 64
-    contour_radius_in_r: float = 3.0
-    eps_start: float = 0.4
-    max_halvings: int = 16
     mollifier_radius: float = 1.0
     tolerance: float = 1e-8
     drift_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("nodes_per_circle", "max_halvings"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ContourConfigError(f"{name} must be an integer, got {value!r}")
-        if self.nodes_per_circle < 16:
-            raise ContourConfigError(f"nodes_per_circle must be >= 16, got {self.nodes_per_circle}")
-        if self.max_halvings < 0:
-            raise ContourConfigError(f"max_halvings must be >= 0, got {self.max_halvings}")
-        if not (0.0 < self.radius_factor < 1.0):
-            raise ContourConfigError(f"radius_factor must lie in (0, 1), got {self.radius_factor}")
-        for name in ("contour_radius_in_r", "mollifier_radius"):
-            value = getattr(self, name)
-            if not (0.0 < value < math.inf):
-                raise ContourConfigError(f"{name} must be positive and finite, got {value}")
-        if not (0.0 < self.eps_start <= 1.0):
-            raise ContourConfigError(f"eps_start must lie in (0, 1], got {self.eps_start}")
+        value = self.nodes_per_circle
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContourConfigError(f"nodes_per_circle must be an integer, got {value!r}")
+        if value < 16:
+            raise ContourConfigError(f"nodes_per_circle must be >= 16, got {value}")
+        if not (0.0 < self.mollifier_radius < math.inf):
+            raise ContourConfigError(f"mollifier_radius must be positive and finite, got {self.mollifier_radius}")
         # an infinite tolerance accepts any finite result (the node sweep uses it)
         for name in ("tolerance", "drift_tolerance"):
             value = getattr(self, name)
@@ -498,9 +498,9 @@ def calderon_apply(
     dist = range_distance(fields, fn.domain)
     diam = range_diameter(fields)
     if math.isinf(dist):
-        r = max(diam, 1.0) * contour.radius_factor
+        r = max(diam, 1.0) * _RADIUS_FACTOR
     else:
-        r = dist * contour.radius_factor
+        r = dist * _RADIUS_FACTOR
     if not r > 0.0:
         raise ContourConfigError(f"margin radius must be positive, got r={r}")
 
@@ -510,7 +510,7 @@ def calderon_apply(
             f"grid too coarse to mollify: the resolvable epsilon floor is {eps_floor:.3g} > 1"
         )
     base = make_mollifier(spec, 1.0, contour.mollifier_radius)
-    eps = max(contour.eps_start, eps_floor)
+    eps = max(_EPS_START, eps_floor)
     halvings = 0
     margin = math.inf
     smoothed = values
@@ -526,7 +526,7 @@ def calderon_apply(
         margin = float(np.max(np.abs(values - smoothed)))
         if margin < r:
             break
-        if halvings >= contour.max_halvings:
+        if halvings >= _MAX_HALVINGS:
             raise MarginError(
                 f"smoothing margin {margin:.3g} did not drop below r={r:.3g} "
                 f"after {halvings} halvings of eps"
@@ -534,12 +534,7 @@ def calderon_apply(
         eps *= 0.5
         halvings += 1
 
-    rho = contour.contour_radius_in_r * r
-    if rho <= margin:
-        raise ContourConfigError(
-            f"contour radius {rho:.3g} does not exceed the smoothing margin {margin:.3g}; "
-            "the poles zeta = u - v would fall outside the circles"
-        )
+    rho = _CONTOUR_RADIUS_IN_R * r
     if not math.isinf(dist):
         safety = math.inf
         for k, dom in enumerate(fn.domain):
@@ -549,7 +544,7 @@ def calderon_apply(
         if rho >= safety:
             raise ContourConfigError(
                 f"contour radius {rho:.3g} reaches the domain boundary "
-                f"(smoothed range is only {safety:.3g} away); shrink contour_radius_in_r"
+                f"(smoothed range is only {safety:.3g} away)"
             )
 
     nodes = contour.nodes_per_circle

@@ -19,6 +19,7 @@ counterparts.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import struct
@@ -294,7 +295,12 @@ def gather_translates(tiled: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 
 
 def translates(samples: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """tau_y samples = np.roll(samples, y) for index shifts y (see `gather_translates`)."""
+    """tau_y samples = np.roll(samples, y) for index shifts y.  One shift of
+    shape (dim,) is rolled into a new array; shifts of shape (G, dim) are
+    gathered from one (2N)^n tile (see `gather_translates`)."""
+    shifts = np.asarray(shifts)
+    if shifts.ndim == 1:
+        return np.roll(samples, tuple(shifts.tolist()), axis=tuple(range(samples.ndim)))
     return gather_translates(tile_translates(samples), shifts)
 
 
@@ -354,49 +360,31 @@ def axis_bump_values(
 class Window:
     """Compactly supported smooth cutoff stored as a field.
 
-    `axis_factors`, when given, are real per-axis profiles f_a whose product
-    f_0(x_0) ... f_{n-1}(x_{n-1}), formed as `make_bump` forms it, must equal
-    the samples bit for bit; windowed spectra then transform in two stages.
+    `axis_factors` are set only by `window_from_factors`: the real per-axis
+    profiles f_a whose product f_0(x_0) ... f_{n-1}(x_{n-1}) formed the
+    samples, so windowed spectra can transform in two stages.  A window
+    made from its samples has none.
     """
 
     field: Field
-    axis_factors: tuple[np.ndarray, ...] | None = None
-
-    def __post_init__(self) -> None:
-        spec = self.field.spec
-        if self.axis_factors is None:
-            return
-        factors = tuple(np.array(f, dtype=float) for f in self.axis_factors)
-        if len(factors) != spec.dim or any(f.shape != (spec.samples_per_axis,) for f in factors):
-            raise ShapeError(f"axis_factors must be {spec.dim} profiles of {spec.samples_per_axis} samples")
-        if not np.array_equal(_bits(_outer_product(factors)), _bits(self.field.samples)):
-            raise ShapeError("axis_factors do not reproduce the window samples bit for bit")
-        for f in factors:
-            f.flags.writeable = False
-        object.__setattr__(self, "axis_factors", factors)
+    axis_factors: tuple[np.ndarray, ...] | None = dataclasses.field(default=None, init=False)
 
     @property
     def spec(self) -> GridSpec:
         return self.field.spec
 
     @functools.cached_property
-    def translate_tile(self) -> np.ndarray:
-        """`tile_translates` of the samples, built once per window.  It holds
-        the real part when the imaginary part is identically zero (every
-        window katokit builds): half the bytes to gather, and a product with
-        a complex field that rounds to the same bits.  The samples must not
-        be written after its first use."""
-        samples = self.field.samples
-        return tile_translates(samples if np.any(samples.imag) else samples.real)
-
-    @functools.cached_property
     def factor_tiles(self) -> tuple[np.ndarray, ...]:
         """`tile_translates` of each axis factor, held complex: a product of
         two complex arrays is quicker than a mixed one and rounds to the same
         bits.  A window without factors, or with one (1-D), is one factor
-        over every axis: its `translate_tile`, which gathers half the bytes."""
+        over every axis: its samples are tiled, as their real part when the
+        imaginary part is identically zero (half the bytes to gather, and a
+        product with a complex field that rounds to the same bits).  The
+        samples must not be written after its first use."""
         if self.axis_factors is None or len(self.axis_factors) == 1:
-            return (self.translate_tile,)
+            samples = self.field.samples
+            return (tile_translates(samples if np.any(samples.imag) else samples.real),)
         return tuple(tile_translates(f.astype(np.complex128)) for f in self.axis_factors)
 
 
@@ -409,11 +397,6 @@ def _outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
         shape[axis] = -1
         samples = samples * vals.reshape(shape)
     return samples
-
-
-def _bits(samples: np.ndarray) -> np.ndarray:
-    """The bit patterns of `samples` as complex128, for bit-for-bit comparison."""
-    return np.ascontiguousarray(samples, dtype=np.complex128).view(np.uint64)
 
 
 def make_bump(
@@ -453,9 +436,16 @@ def make_bump(
 
 def window_from_factors(spec: GridSpec, factors: Sequence[np.ndarray]) -> Window:
     """The tensor-product window f_0(x_0) ... f_{n-1}(x_{n-1}) of real
-    per-axis profiles, which it keeps as its `axis_factors`."""
-    factors = tuple(factors)
-    return Window(Field(spec, _outer_product(factors)), factors)
+    per-axis profiles, which it keeps, as read-only copies, as its
+    `axis_factors`: the samples are formed from them, so they match."""
+    factors = tuple(np.array(f, dtype=float) for f in factors)
+    if len(factors) != spec.dim or any(f.shape != (spec.samples_per_axis,) for f in factors):
+        raise ShapeError(f"axis_factors must be {spec.dim} profiles of {spec.samples_per_axis} samples")
+    for f in factors:
+        f.flags.writeable = False
+    window = Window(Field(spec, _outer_product(factors)))
+    object.__setattr__(window, "axis_factors", factors)
+    return window
 
 
 def window_from_samples(field: Field) -> Window:
@@ -481,14 +471,27 @@ def _wrapped_displacement_mesh(spec: GridSpec) -> np.ndarray:
 class Mollifier:
     """Radial smooth kernel of unit discrete mass, support radius `radius`.
 
-    `epsilon` in (0, 1] shrinks the support to epsilon * radius.  The kernel
-    is evaluated analytically by `mollifier_kernel` and renormalized so its
-    discrete integral is exactly 1.
+    `epsilon` in (0, 1] shrinks the support to epsilon * radius, which must
+    span at least _MIN_KERNEL_SAMPLES samples (ResolutionError otherwise);
+    `radius` lies in (0, L/2).  The kernel is evaluated analytically by
+    `mollifier_kernel` and renormalized so its discrete integral is exactly 1.
     """
 
     spec: GridSpec
     epsilon: float
     radius: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.epsilon <= 1.0):
+            raise GridError(f"epsilon must lie in (0, 1], got {self.epsilon}")
+        if not (0.0 < self.radius < 0.5 * self.spec.period):
+            raise GridError(f"radius must lie in (0, period/2), got {self.radius}")
+        across = 2.0 * (self.epsilon * self.radius) / self.spec.spacing
+        if across < _MIN_KERNEL_SAMPLES:
+            raise ResolutionError(
+                f"mollifier support spans {across:.2f} samples, fewer than the "
+                f"required {_MIN_KERNEL_SAMPLES}; increase epsilon or refine the grid"
+            )
 
 
 def _radial_kernel_samples(spec: GridSpec, support_radius: float) -> np.ndarray:
@@ -502,21 +505,7 @@ def _radial_kernel_samples(spec: GridSpec, support_radius: float) -> np.ndarray:
 
 
 def make_mollifier(spec: GridSpec, epsilon: float = 1.0, radius: float = 1.0) -> Mollifier:
-    if not (0.0 < epsilon <= 1.0):
-        raise GridError(f"epsilon must lie in (0, 1], got {epsilon}")
-    if not (0.0 < radius < 0.5 * spec.period):
-        raise GridError(f"radius must lie in (0, period/2), got {radius}")
-    _require_resolvable(spec, epsilon * radius)
     return Mollifier(spec, float(epsilon), float(radius))
-
-
-def _require_resolvable(spec: GridSpec, support_radius: float) -> None:
-    across = 2.0 * support_radius / spec.spacing
-    if across < _MIN_KERNEL_SAMPLES:
-        raise ResolutionError(
-            f"mollifier support spans {across:.2f} samples, fewer than the "
-            f"required {_MIN_KERNEL_SAMPLES}; increase epsilon or refine the grid"
-        )
 
 
 def min_resolvable_epsilon(spec: GridSpec, radius: float = 1.0) -> float:
@@ -526,18 +515,12 @@ def min_resolvable_epsilon(spec: GridSpec, radius: float = 1.0) -> float:
 
 def rescaled(moll: Mollifier, epsilon: float) -> Mollifier:
     """Same kernel family at a different epsilon."""
-    if not (0.0 < epsilon <= 1.0):
-        raise GridError(f"epsilon must lie in (0, 1], got {epsilon}")
-    _require_resolvable(moll.spec, epsilon * moll.radius)
     return Mollifier(moll.spec, float(epsilon), moll.radius)
 
 
 def mollifier_kernel(moll: Mollifier) -> Field:
     """Scaled kernel phi_eps = eps^{-n} phi(./eps), renormalized to mass 1."""
-    support = moll.epsilon * moll.radius
-    _require_resolvable(moll.spec, support)
-    vals = _radial_kernel_samples(moll.spec, support)
-    return Field(moll.spec, vals)
+    return Field(moll.spec, _radial_kernel_samples(moll.spec, moll.epsilon * moll.radius))
 
 
 def mollify(field: Field, moll: Mollifier) -> Field:

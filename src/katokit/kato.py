@@ -56,6 +56,7 @@ from .grid import (
     mollify,
     require_finite,
     rescaled,
+    translates,
     window_from_factors,
     window_from_samples,
 )
@@ -136,10 +137,12 @@ def amalgam_spec(
 
 
 def lattice_coverage(window: Window, cells_per_axis: int) -> np.ndarray:
+    """Psi = sum_gamma |tau_gamma chi|^2, from |chi|^2 rolled once per lattice shift."""
     spec = window.spec
+    power = np.abs(window.field.samples) ** 2
     psi = np.zeros(spec.shape, dtype=float)
     for y in lattice_shifts(spec, cells_per_axis):
-        psi += np.abs(gather_translates(window.translate_tile, y)) ** 2
+        psi += translates(power, y)
     return psi
 
 
@@ -534,8 +537,8 @@ def retraction_roundtrip(
     assembled = np.zeros(spec.shape, dtype=np.complex128)
     norms_p: list[float] = []
     for y in lattice_shifts(spec, partition.cells_per_axis):
-        piece = gather_translates(partition.master.translate_tile, y) * field.samples
-        assembled += gather_translates(chi.translate_tile, y) * piece
+        piece = translates(partition.master.field.samples, y) * field.samples
+        assembled += translates(chi.field.samples, y) * piece
         norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
     arr = np.asarray(norms_p)

@@ -127,11 +127,7 @@ class OperatorMatrix:
             raise ShapeError(f"entries must be {size} x {size}, got {arr.shape}")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        tau = np.asarray(self.tau, dtype=float)
-        if tau.shape != (self.space_dim, self.space_dim):
-            raise ShapeError(f"tau must be {self.space_dim} x {self.space_dim}")
-        if not np.all(np.isfinite(tau)):
-            raise HypothesisError("tau must be finite")
+        tau = _tau_matrix(self.tau, self.space_dim)
         tau.setflags(write=False)
         object.__setattr__(self, "tau", tau)
 
@@ -148,11 +144,12 @@ class OperatorMatrix:
 def operator_from_matrix(
     entries: np.ndarray, tau: np.ndarray | float, space_dim: int, samples_per_axis: int, period: float
 ) -> OperatorMatrix:
-    return OperatorMatrix(entries, _tau_matrix(tau, space_dim), space_dim, samples_per_axis, period)
+    return OperatorMatrix(np.array(entries, dtype=np.complex128), tau, space_dim, samples_per_axis, period)
 
 
 def _tau_matrix(tau: np.ndarray | float, n: int) -> np.ndarray:
-    arr = np.asarray(tau, dtype=float)
+    """A validated copy of tau as an n x n matrix (a scalar times the identity)."""
+    arr = np.array(tau, dtype=float)
     if arr.ndim == 0:
         arr = float(arr) * np.eye(n)
     if arr.shape != (n, n):

@@ -31,10 +31,10 @@ from .grid import (
     coordinate_axes,
     frequency_axes,
     from_spectrum,
-    gather_translates,
     lattice_shifts,
     require_finite,
     to_spectrum,
+    translates,
     window_from_factors,
 )
 from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
@@ -262,7 +262,8 @@ def twisted_periodization(
     congruent to theta mod 2 pi, where the coefficients equal
     Lambda^n c_k(phi).  Representable twists are multiples of
     2 pi / Lambda per axis; other values are projected to the nearest
-    representable twist, reported via `theta_offset`.
+    representable twist, reported via `theta_offset`.  Each translate
+    tau_{lg} phi is one roll of the window's samples.
     """
     spec = window.spec
     shifts = lattice_shifts(spec, cells_per_axis)  # refuses a count that is not an integer
@@ -282,7 +283,7 @@ def twisted_periodization(
     acc = np.zeros(spec.shape, dtype=np.complex128)
     for y in shifts:
         phase = complex(np.exp(1j * float(np.dot(y // stride, theta_used))))
-        acc += phase * gather_translates(window.translate_tile, y)
+        acc += phase * translates(window.field.samples, y)
     twisted = Field(spec, acc)
 
     coeffs = to_spectrum(twisted)
@@ -412,7 +413,7 @@ def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order
     base = h_norm(field, order)
     total = 0.0
     for y in lattice_shifts(field.spec, partition.cells_per_axis):
-        piece = gather_translates(partition.master.translate_tile, y)
+        piece = translates(partition.master.field.samples, y)
         total += h_norm(Field(field.spec, piece * field.samples), order) ** 2
     return math.sqrt(total) / max(base, 1e-300)
 

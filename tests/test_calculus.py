@@ -162,15 +162,9 @@ def test_contour_rejects_too_few_nodes():
         ("drift_tolerance", math.nan),
         ("tolerance", 0.0),
         ("drift_tolerance", -1e-9),
-        ("contour_radius_in_r", math.nan),
-        ("contour_radius_in_r", math.inf),
         ("nodes_per_circle", 16.5),
-        ("max_halvings", -1),
-        ("max_halvings", 2.5),
         ("mollifier_radius", 0.0),
         ("mollifier_radius", math.nan),
-        ("radius_factor", math.nan),
-        ("eps_start", math.nan),
     ],
 )
 def test_contour_spec_refuses_bad_value(field, value):
@@ -207,10 +201,10 @@ def test_non_finite_contour_values_fail_the_gates():
 
 def test_margin_failure_when_radius_collapses():
     # pushing the excluded disc against the range leaves no room for the
-    # smoothing margin
+    # smoothing margin: epsilon halves down to the grid's resolution floor
     spec, u = cosine_field()
-    with pytest.raises(MarginError):
-        calderon_apply([u], holo_reciprocal(1.0 - 1e-9), ContourSpec(max_halvings=3))
+    with pytest.raises(MarginError, match="resolution floor"):
+        calderon_apply([u], holo_reciprocal(1.0 - 1e-9))
 
 
 def test_arity_mismatch():

@@ -6,15 +6,17 @@ leans on the spectral round trip.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from katokit.errors import FieldFormatError, GridError, NonFiniteError, ShapeError
+from katokit.errors import FieldFormatError, GridError, NonFiniteError, ResolutionError, ShapeError
 from katokit.grid import (
     Field,
+    Mollifier,
     axis_bump_values,
     constant_field,
     coordinate_axes,
@@ -38,6 +40,7 @@ from katokit.grid import (
     to_spectrum,
     translate,
     translates,
+    window_from_factors,
     window_from_samples,
 )
 
@@ -306,6 +309,25 @@ def test_bump_derivative_sup_grid_converged():
     assert abs(sups[0] - sups[1]) / sups[1] < 0.02
 
 
+def test_factored_window_forms_its_samples_once():
+    # at 3-D N=64 the real product is 2 MiB and the complex samples 4 MiB;
+    # forming the product a second time to check it, with a complex copy,
+    # would add 6 MiB more
+    spec = make_grid(3, 64)
+    x = coordinate_axes(spec)[0]
+    factors = [axis_bump_values(x, 0.5 + a, 5.0 - a) for a in range(3)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        window = window_from_factors(spec, factors)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * 2**20
+    product = factors[0][:, None, None] * factors[1][None, :, None] * factors[2]
+    assert np.array_equal(window.field.samples, product)
+
+
 # ---------------------------------------------------------------------------
 # mollifiers
 
@@ -344,12 +366,16 @@ def test_mollification_error_decreases_with_epsilon():
 
 
 def test_mollifier_rejects_unresolvable_epsilon():
-    from katokit.errors import ResolutionError
-
     spec = make_grid(1, 32)
     moll = make_mollifier(spec, epsilon=1.0, radius=1.0)
     with pytest.raises(ResolutionError):
         rescaled(moll, 1e-3)
+
+
+def test_mollifier_refuses_unresolvable_support_when_built():
+    # 0.01 of radius 1 spans 0.10 samples of a 32-point grid
+    with pytest.raises(ResolutionError, match="spans 0.10 samples"):
+        Mollifier(make_grid(1, 32), 0.01, 1.0)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])

@@ -28,6 +28,7 @@ from katokit.grid import (
     make_mollifier,
     mollifier_kernel,
     plane_wave,
+    window_from_factors,
     window_from_samples,
 )
 from katokit.weights import multi_order, sigma_params
@@ -295,17 +296,22 @@ def test_one_axis_window_is_its_own_factor():
     assert np.array_equal(windowed_norms(u, chi, shifts, order), windowed_norms(u, bare, shifts, order))
 
 
-def test_window_refuses_factors_that_miss_its_samples():
+def test_window_from_factors_refuses_wrong_count_or_length():
+    spec = make_grid(2, 16)
+    first, second = separable_window(spec, True).axis_factors
+    for factors in ((first,), (first, second, first), (first, second[:-1])):
+        with pytest.raises(ShapeError, match="axis_factors"):
+            window_from_factors(spec, factors)
+
+
+def test_window_factors_are_set_only_from_factors():
+    # the samples are formed from the factors, so only window_from_factors sets them
     spec = make_grid(2, 16)
     chi = separable_window(spec, True)
-    first, second = chi.axis_factors
-    # the product of the factors must reproduce the samples bit for bit
-    nudged = first.copy()
-    nudged[5] = np.nextafter(nudged[5], 2.0)
-    for factors in ((nudged, second), (second, first), (first,), (first, second[:-1])):
-        with pytest.raises(ShapeError, match="axis_factors"):
-            Window(chi.field, factors)
-    assert Window(chi.field, (first, second)).axis_factors is not None
+    assert Window(chi.field).axis_factors is None
+    with pytest.raises(TypeError):
+        Window(chi.field, chi.axis_factors)
+    assert all(not f.flags.writeable for f in chi.axis_factors)
 
 
 # ---------------------------------------------------------------------------

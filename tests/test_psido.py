@@ -196,6 +196,22 @@ def test_schatten_rejects_p_below_one():
         schatten_norm(op, 0.5)
 
 
+def test_operators_leave_the_callers_arrays_writable():
+    # an operator keeps read-only copies of tau and of given entries; the
+    # caller's arrays stay writable and writing them changes no operator
+    spec = symbol_grid(8)
+    tau = np.array([[0.5]])
+    op = quantize(random_symbol(spec, 3), tau)
+    entries = np.array(op.entries)
+    given = operator_from_matrix(entries, tau, 1, 8, spec.period)
+    assert tau.flags.writeable and entries.flags.writeable
+    tau[0, 0] = 0.25
+    entries[0, 0] = 7.0
+    assert op.tau[0, 0] == given.tau[0, 0] == 0.5
+    assert given.entries[0, 0] == op.entries[0, 0] != 7.0
+    assert not (op.tau.flags.writeable or given.tau.flags.writeable or given.entries.flags.writeable)
+
+
 @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)])
 @pytest.mark.parametrize("entry", [lambda sym: quantize(sym, 0.5), symbol_l2_norm], ids=["quantize", "symbol_l2_norm"])
 def test_symbol_with_non_finite_sample_is_refused(entry, value):

@@ -346,7 +346,7 @@ def test_partition_build_holds_no_translate_tile():
     # the periodization check runs on the 1-D factor: no (2N)^n tile of the
     # master is built, and none stays cached on the returned partition
     part = build_partition(make_grid(3, 64), cells_per_axis=2)
-    assert "translate_tile" not in vars(part.master)
+    assert "factor_tiles" not in vars(part.master)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
