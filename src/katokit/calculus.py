@@ -10,8 +10,9 @@ over the polycircle |zeta_k| = 3 r reproduces Phi(u(x)) whenever the
 smoothed proxy v = phi_eps * u sits within margin r of u in sup norm and
 the polydisc of radius 3 r around v stays inside Omega.  Here r is an
 eighth of the distance from the sampled range to the complement of Omega.
-The trapezoid rule on each circle converges geometrically, which a node
-doubling certificate verifies at run time; the pointwise identity
+The trapezoid rule on each circle converges geometrically: an a-priori
+annulus bound, from a modulus bound of Phi, picks the node count, a node
+doubling certificate verifies it at run time, and the pointwise identity
 h = Phi(u) is then checked directly since Phi is evaluable.
 
 Inversion, division with a cutoff, the chain rule and joint-spectrum
@@ -204,6 +205,13 @@ class HoloFn:
     view of its argument, and writing into the argument raises ValueError.
     Missing partials fall back to symmetric differences with relative step
     1e-6 (1 + |z_k|).
+
+    `modulus_bound(v, radius)` receives the smoothed proxy v, shape
+    (d, samples), and a radius R, and returns per sample an upper bound on
+    |Phi| over the polydisc {|z_k - v_k| <= R for every k}.  It is only
+    asked for radii whose polydisc lies inside the domain.  With it the
+    contour takes its node count from an a-priori trapezoid bound; without
+    it the contour uses 64 nodes per circle and reports no bound.
     """
 
     arity: int
@@ -211,6 +219,7 @@ class HoloFn:
     domain: tuple[DomainPart, ...]
     partials: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
     label: str = "holo"
+    modulus_bound: Callable[[np.ndarray, float], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -228,15 +237,36 @@ class HoloFn:
 
 
 def holo_identity() -> HoloFn:
-    return HoloFn(1, lambda z: z[0], entire_domain(1), (lambda z: np.ones_like(z[0]),), "z")
+    return HoloFn(
+        1,
+        lambda z: z[0],
+        entire_domain(1),
+        (lambda z: np.ones_like(z[0]),),
+        "z",
+        lambda v, radius: np.abs(v[0]) + radius,
+    )
 
 
 def holo_square() -> HoloFn:
-    return HoloFn(1, lambda z: z[0] ** 2, entire_domain(1), (lambda z: 2.0 * z[0],), "z^2")
+    return HoloFn(
+        1,
+        lambda z: z[0] ** 2,
+        entire_domain(1),
+        (lambda z: 2.0 * z[0],),
+        "z^2",
+        lambda v, radius: (np.abs(v[0]) + radius) ** 2,
+    )
 
 
 def holo_exp() -> HoloFn:
-    return HoloFn(1, lambda z: np.exp(z[0]), entire_domain(1), (lambda z: np.exp(z[0]),), "exp")
+    return HoloFn(
+        1,
+        lambda z: np.exp(z[0]),
+        entire_domain(1),
+        (lambda z: np.exp(z[0]),),
+        "exp",
+        lambda v, radius: np.exp(np.real(v[0]) + radius),
+    )
 
 
 def holo_reciprocal(lower: float) -> HoloFn:
@@ -249,6 +279,7 @@ def holo_reciprocal(lower: float) -> HoloFn:
         (DiscComplement(0.0, float(lower)),),
         (lambda z: -1.0 / z[0] ** 2,),
         "1/z",
+        lambda v, radius: 1.0 / (np.abs(v[0]) - radius),
     )
 
 
@@ -259,6 +290,7 @@ def holo_product2() -> HoloFn:
         entire_domain(2),
         (lambda z: z[1], lambda z: z[0]),
         "z1*z2",
+        lambda v, radius: (np.abs(v[0]) + radius) * (np.abs(v[1]) + radius),
     )
 
 
@@ -371,6 +403,18 @@ _EPS_START = 0.4
 _MAX_HALVINGS = 16
 
 
+# The node count.  Without an explicit nodes_per_circle the contour takes the
+# smallest count from _MIN_NODES to _DEFAULT_NODES whose a-priori bound is
+# within _BOUND_SHARE of the tighter gate, and _DEFAULT_NODES when none is
+# (or when Phi has no modulus bound).  The annulus bound tries the inner
+# circles |zeta| = q rho and the outer circles |zeta| = rho / q for each q
+# in _ANNULUS_RATIOS.
+_MIN_NODES = 16
+_DEFAULT_NODES = 64
+_BOUND_SHARE = 0.1
+_ANNULUS_RATIOS = (0.7, 0.5, 0.45, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02)
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Node count, mollifier radius and gates of the Cauchy representation.
@@ -378,21 +422,26 @@ class ContourSpec:
     The trapezoid rule uses nodes_per_circle nodes per circle, checked
     against twice as many: the node-doubling drift must stay within
     drift_tolerance and the result within tolerance of the pointwise
-    evaluation.  mollifier_radius is the support radius of the smoothing
-    kernel at epsilon 1, below half the grid's period.
+    evaluation.  With nodes_per_circle None (the default) the count is the
+    smallest in 16..64 whose a-priori trapezoid bound is at most a tenth of
+    min(tolerance, drift_tolerance), and 64 when Phi has no modulus bound or
+    no count up to 64 meets that target.  mollifier_radius is the support
+    radius of the smoothing kernel at epsilon 1, below half the grid's
+    period.
     """
 
-    nodes_per_circle: int = 64
+    nodes_per_circle: int | None = None
     mollifier_radius: float = 1.0
     tolerance: float = 1e-8
     drift_tolerance: float = 1e-9
 
     def __post_init__(self) -> None:
         value = self.nodes_per_circle
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ContourConfigError(f"nodes_per_circle must be an integer, got {value!r}")
-        if value < 16:
-            raise ContourConfigError(f"nodes_per_circle must be >= 16, got {value}")
+        if value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ContourConfigError(f"nodes_per_circle must be an integer, got {value!r}")
+            if value < _MIN_NODES:
+                raise ContourConfigError(f"nodes_per_circle must be >= {_MIN_NODES}, got {value}")
         if not (0.0 < self.mollifier_radius < math.inf):
             raise ContourConfigError(f"mollifier_radius must be positive and finite, got {self.mollifier_radius}")
         # an infinite tolerance accepts any finite result (the node sweep uses it)
@@ -404,6 +453,14 @@ class ContourSpec:
 
 @dataclass(frozen=True)
 class CalderonResult:
+    """An accepted contour evaluation and its certificates.
+
+    nodes_used is the fine node count 2n per circle of the returned sums.
+    quadrature_bound is the a-priori bound on |h - Phi(u)| at those nodes,
+    trapezoid error plus rounding (see `_trapezoid_bound`), and inf when
+    Phi has no modulus bound.
+    """
+
     field: Field
     r: float
     rho: float
@@ -415,6 +472,7 @@ class CalderonResult:
     halvings: int
     distance: float
     diameter: float
+    quadrature_bound: float
 
 
 def _contract(vals: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
@@ -478,6 +536,85 @@ def _contour_sums(
     return (2.0**d * coarse).reshape(shape), total.reshape(shape)
 
 
+def _trapezoid_bound(
+    fn: HoloFn, values: np.ndarray, smoothed: np.ndarray, rho: float, reach: float
+) -> Callable[[int], float] | None:
+    """The a-priori error max_x |T_n - Phi(u(x))| of the n-node trapezoid
+    rule on the circles |zeta_k| = rho, as a function of n; None when fn has
+    no modulus bound.
+
+    In variable k the integrand zeta_k / (zeta_k - p_k) Phi(zeta + v), with
+    pole p = u - v, is analytic for |p_k| < |zeta_k| < reach, where reach is
+    the smoothed range's distance to the domain boundary.  For inner and
+    outer radii |p_k| < m' < rho < R' < reach the n-node rule errs by at
+    most M_in q_in^n / (1 - q_in^n) + M_out q_out^n / (1 - q_out^n), with
+    q_in = m' / rho, q_out = rho / R' and M the integrand's maximum on
+    |zeta_k| = m' and on |zeta_k| = R' (Trefethen & Weideman, SIAM Review
+    56, 2014, Thm 2.2).  At d > 1 the per-variable errors add, each with the
+    other variables on their circles, where |zeta_j / (zeta_j - p_j)| is at
+    most rho / (rho - |p_j|).  Per sample, each term takes its best radius
+    from m' = q rho and R' = rho / q, q in _ANNULUS_RATIOS.
+
+    Rounding is modelled, not proven: machine epsilon times the sum of
+    |terms|, which is at most max |Phi| on the polydisc of radius rho times
+    the circle factors, times d n for the additions along the node axes
+    (Higham, Accuracy and Stability of Numerical Algorithms, §4.2) plus
+    8 (1 + |v| + rho)(1 + 1 / (rho - |p|)) for the rounded node that Phi
+    and the pole receive.
+    """
+    if fn.modulus_bound is None:
+        return None
+    d = values.shape[0]
+    v = smoothed.reshape(d, -1)
+    offset = np.abs(values.reshape(d, -1) - v)
+    circle = rho / (rho - offset)
+    circles = np.prod(circle, axis=0)
+    q = np.asarray(_ANNULUS_RATIOS)[:, None]
+    inner = q * rho
+    outer = rho / q
+    terms = []
+    # a modulus past the float range is an infinite term, which no minimum takes
+    with np.errstate(over="ignore"):
+        modulus = np.asarray(fn.modulus_bound(v, rho), dtype=float)
+        outer_modulus = np.stack(
+            [
+                np.asarray(fn.modulus_bound(v, radius), dtype=float) if radius < reach else np.full(v.shape[1], np.inf)
+                for radius in outer[:, 0]
+            ]
+        )
+        for k in range(d):
+            others = circles / circle[k]
+            gap = inner - offset[k]
+            inner_factor = np.divide(inner, gap, out=np.full(gap.shape, np.inf), where=gap > 0.0)
+            terms.append((modulus * others * inner_factor, outer_modulus * others * outer / (outer - offset[k])))
+    sum_of_terms = float(np.max(modulus * circles))
+    per_term = 8.0 * (1.0 + float(np.max(np.abs(v))) + rho) * (1.0 + 1.0 / (rho - float(np.max(offset))))
+
+    def bound(nodes: int) -> float:
+        power = q**nodes
+        decay = power / (1.0 - power)
+        total = sum(np.min(c_in * decay, axis=0) + np.min(c_out * decay, axis=0) for c_in, c_out in terms)
+        rounding = np.finfo(float).eps * sum_of_terms * (d * nodes + per_term)
+        return float(np.max(total)) + rounding
+
+    return bound
+
+
+def _node_count(contour: ContourSpec, bound: Callable[[int], float] | None) -> tuple[int, float]:
+    """The node count n and the bound at the 2n nodes of the returned sums.
+
+    n is the explicit count, else the smallest in _MIN_NODES.._DEFAULT_NODES
+    whose bound meets _BOUND_SHARE of the tighter gate, else _DEFAULT_NODES.
+    """
+    if bound is None:
+        return int(contour.nodes_per_circle or _DEFAULT_NODES), math.inf
+    nodes = contour.nodes_per_circle
+    if nodes is None:
+        target = _BOUND_SHARE * min(contour.tolerance, contour.drift_tolerance)
+        nodes = next((n for n in range(_MIN_NODES, _DEFAULT_NODES + 1) if bound(n) <= target), _DEFAULT_NODES)
+    return int(nodes), bound(2 * int(nodes))
+
+
 def calderon_apply(
     fields: Sequence[Field],
     fn: HoloFn,
@@ -504,6 +641,11 @@ def calderon_apply(
     if not r > 0.0:
         raise ContourConfigError(f"margin radius must be positive, got r={r}")
 
+    if not contour.mollifier_radius < 0.5 * spec.period:
+        raise ContourConfigError(
+            f"mollifier_radius {contour.mollifier_radius:g} must lie below the grid's half period "
+            f"{0.5 * spec.period:.6g} to smooth the contour's proxy"
+        )
     eps_floor = min_resolvable_epsilon(spec, contour.mollifier_radius)
     if eps_floor > 1.0:
         raise MarginError(
@@ -535,19 +677,18 @@ def calderon_apply(
         halvings += 1
 
     rho = _CONTOUR_RADIUS_IN_R * r
-    if not math.isinf(dist):
-        safety = math.inf
-        for k, dom in enumerate(fn.domain):
-            if isinstance(dom, Entire):
-                continue
-            safety = min(safety, float(np.min(dom.complement_distance(smoothed[k]))))
-        if rho >= safety:
-            raise ContourConfigError(
-                f"contour radius {rho:.3g} reaches the domain boundary "
-                f"(smoothed range is only {safety:.3g} away)"
-            )
+    reach = math.inf
+    for k, dom in enumerate(fn.domain):
+        if not isinstance(dom, Entire):
+            reach = min(reach, float(np.min(dom.complement_distance(smoothed[k]))))
+    if rho >= reach:
+        raise ContourConfigError(
+            f"contour radius {rho:.3g} reaches the domain boundary "
+            f"(smoothed range is only {reach:.3g} away)"
+        )
 
-    nodes = contour.nodes_per_circle
+    # the bound's arrays are dropped before the sums allocate theirs
+    nodes, quadrature_bound = _node_count(contour, _trapezoid_bound(fn, values, smoothed, rho, reach))
     h1, h2 = _contour_sums(values, smoothed, fn, rho, nodes)
     drift = float(np.max(np.abs(h2 - h1)))
     # both gates are written so that a NaN fails them
@@ -575,6 +716,7 @@ def calderon_apply(
         halvings=halvings,
         distance=dist,
         diameter=diam,
+        quadrature_bound=quadrature_bound,
     )
 
 

@@ -190,9 +190,10 @@ def _refusal_case(label: str, error: type[Exception], attempt: Callable[[], obje
 
 
 def _contour_case(label: str, res) -> dict:
-    """PASS when a contour value matches Phi pointwise and its node-doubling drift is small."""
+    """PASS when a contour value matches Phi pointwise and its node-doubling
+    drift is small; reports the a-priori quadrature bound beside them."""
     verdict = _verdict(res.pointwise_error <= 1e-8 and res.drift <= 1e-9)
-    return _case(label, verdict, pointwise_error=res.pointwise_error, drift=res.drift)
+    return _case(label, verdict, pointwise_error=res.pointwise_error, drift=res.drift, quadrature_bound=res.quadrature_bound)
 
 
 def _partition_bracket(part, order) -> tuple[float, float]:

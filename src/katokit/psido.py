@@ -112,6 +112,8 @@ class OperatorMatrix:
     """Dense kernel matrix of a quantized symbol, with cached singular values.
 
     Entries are write-protected; build a new object instead of mutating.
+    A caller's writeable entries array is copied, so it stays writeable; a
+    read-only one is kept as it is.
     """
 
     entries: np.ndarray
@@ -125,6 +127,8 @@ class OperatorMatrix:
         size = self.samples_per_axis**self.space_dim
         if arr.shape != (size, size):
             raise ShapeError(f"entries must be {size} x {size}, got {arr.shape}")
+        if arr is self.entries and arr.flags.writeable:
+            arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
         tau = _tau_matrix(self.tau, self.space_dim)
@@ -144,7 +148,7 @@ class OperatorMatrix:
 def operator_from_matrix(
     entries: np.ndarray, tau: np.ndarray | float, space_dim: int, samples_per_axis: int, period: float
 ) -> OperatorMatrix:
-    return OperatorMatrix(np.array(entries, dtype=np.complex128), tau, space_dim, samples_per_axis, period)
+    return OperatorMatrix(entries, tau, space_dim, samples_per_axis, period)
 
 
 def _tau_matrix(tau: np.ndarray | float, n: int) -> np.ndarray:
@@ -186,6 +190,8 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     index = [_along(np.arange(num), 2 * n, a) for a in range(n)]
     index += [(index[a] - _along(np.arange(num), 2 * n, n + a)) % num for a in range(n)]
     entries = stage[tuple(index)].reshape(num**n, num**n)
+    # read-only before it is handed over, so the operator keeps it uncopied
+    entries.setflags(write=False)
     return OperatorMatrix(entries, tau_mat, n, num, spec.period)
 
 

@@ -272,7 +272,7 @@ def test_contour_evaluates_the_fine_grid_once(d):
         return inner.evaluate(z)
 
     fn = HoloFn(d, spy, inner.domain)
-    nodes = ContourSpec().nodes_per_circle
+    nodes = 64  # a HoloFn without a modulus bound keeps 64 nodes per circle
     result = calderon_apply(fields, fn)
     npts = spec.num_points
     # one node row per first-variable node, then the pointwise check on the
@@ -335,18 +335,19 @@ def test_contour_refuses_a_function_that_writes_into_its_argument():
 
 
 def test_contour_holds_one_node_buffer():
-    # at d=2 N=32 the node buffer is 4 MiB (one row of 128 x 1024 nodes per
-    # variable), one row's values 2 MiB and the weights 4 MiB: ~12 MiB.
-    # A row's values kept alive while the next row is evaluated adds 2 MiB,
-    # a buffer of more rows 4 MiB or more. numpy reports its buffers to
-    # tracemalloc.
+    # at d=2 N=32 with 64 nodes per circle the node buffer is 4 MiB (one row
+    # of 128 x 1024 nodes per variable), one row's values 2 MiB and the
+    # weights 4 MiB: ~12 MiB. A row's values kept alive while the next row
+    # is evaluated adds 2 MiB, a buffer of more rows 4 MiB or more. numpy
+    # reports its buffers to tracemalloc.
     spec = make_grid(2, 32, blocks=(2,))
     fields = [positive_field(spec, seed=30 + k, kmax=4) for k in range(2)]
-    calderon_apply(fields, holo_product2())
+    contour = ContourSpec(nodes_per_circle=64)
+    calderon_apply(fields, holo_product2(), contour)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        calderon_apply(fields, holo_product2())
+        calderon_apply(fields, holo_product2(), contour)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -355,11 +356,138 @@ def test_contour_holds_one_node_buffer():
 
 def test_drift_gate_compares_the_doubled_sums():
     spec, u = cosine_field()
-    result = calderon_apply([u], holo_exp())
+    result = calderon_apply([u], holo_exp(), ContourSpec(nodes_per_circle=64))
     assert result.nodes_used == 128
     assert 0.0 < result.drift <= ContourSpec().drift_tolerance
     with pytest.raises(QuadratureError, match="node doubling 64 -> 128"):
-        calderon_apply([u], holo_exp(), ContourSpec(drift_tolerance=0.5 * result.drift))
+        calderon_apply([u], holo_exp(), ContourSpec(nodes_per_circle=64, drift_tolerance=0.5 * result.drift))
+
+
+def test_mollifier_radius_past_half_period_is_a_contour_error():
+    spec, u = cosine_field()
+    with pytest.raises(ContourConfigError, match=r"mollifier_radius 4 .*half period 3\.14159"):
+        calderon_apply([u], holo_exp(), ContourSpec(mollifier_radius=4.0))
+
+
+# ---------------------------------------------------------------------------
+# the a-priori quadrature bound
+
+
+def _polydisc_points(v, radius):
+    """Dense samples of the closed polydisc of `radius` around each column of v."""
+    ring = (radius * np.linspace(0.0, 1.0, 6)[:, None] * np.exp(2j * math.pi * np.arange(48) / 48)).reshape(-1)
+    offsets = np.stack(np.meshgrid(*[ring] * v.shape[0], indexing="ij")).reshape(v.shape[0], -1)
+    return v[:, :, None] + offsets[:, None, :]
+
+
+@pytest.mark.parametrize(
+    "fn, v",
+    [
+        (holo_identity(), [[2.0, -1.0 + 3.0j, 0.1j]]),
+        (holo_square(), [[2.0, -1.0 + 3.0j, 0.1j]]),
+        (holo_exp(), [[2.0, -1.0 + 3.0j, 0.1j]]),
+        (holo_reciprocal(0.5), [[2.0, -1.0 + 3.0j, 1.4j]]),
+        (holo_product2(), [[2.0, -1.0 + 3.0j, 0.1j], [0.5, 1.0j, -2.0]]),
+    ],
+    ids=lambda p: p.label if isinstance(p, HoloFn) else "",
+)
+def test_modulus_bound_covers_dense_polydisc_samples(fn, v):
+    v = np.asarray(v, dtype=complex)
+    for radius in (0.1, 0.5, 0.8):
+        observed = np.max(np.abs(fn.evaluate(_polydisc_points(v, radius))), axis=-1)
+        assert np.all(fn.modulus_bound(v, radius) >= observed * (1.0 - 1e-12))
+
+
+def _assert_bound_covers_error(fields, fn):
+    chosen = calderon_apply(fields, fn)
+    assert chosen.pointwise_error <= chosen.quadrature_bound <= ContourSpec().tolerance
+    coarse = calderon_apply(fields, fn, ContourSpec(nodes_per_circle=16, tolerance=math.inf, drift_tolerance=math.inf))
+    assert coarse.pointwise_error <= coarse.quadrature_bound
+    return chosen
+
+
+def _smooth_fields(d):
+    if d == 1:
+        return [positive_field(make_grid(1, N), seed=7)]
+    spec = make_grid(2, 32, blocks=(2,))
+    return [positive_field(spec, seed=30 + k, kmax=4) for k in range(2)]
+
+
+@pytest.mark.parametrize(
+    "make_fields, fn",
+    [
+        (lambda: [cosine_field()[1]], holo_identity()),
+        (lambda: [cosine_field()[1]], holo_exp()),
+        (lambda: [cosine_field()[1]], holo_reciprocal(0.5)),
+        (lambda: _smooth_fields(1), holo_square()),
+        (lambda: _smooth_fields(2), holo_product2()),
+    ],
+    ids=["identity", "exp", "reciprocal", "square", "product"],
+)
+def test_quadrature_bound_covers_the_contour_error(make_fields, fn):
+    # at the chosen node count and at the floor of 16
+    result = _assert_bound_covers_error(make_fields(), fn)
+    assert result.nodes_used < 128
+
+
+def _child_seed(seed, index):
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_quadrature_bound_covers_the_benchmark_calculus_cases(monkeypatch, seed):
+    # the contour calculus of the operators benchmark: exp, square and
+    # reciprocal, invert and divide at d=1 N=256, the product at d=2 N=32
+    spec = make_grid(1, N)
+    u = positive_field(spec, _child_seed(seed, 0))
+    spec2 = make_grid(2, 32, blocks=(2,))
+    f1, f2 = (positive_field(spec2, _child_seed(seed, k), kmax=4) for k in (1, 2))
+    lower = float(np.min(np.abs(u.samples)))
+    calls = []
+
+    def spy(fields, fn, contour=None):
+        calls.append((fields, fn))
+        return calderon_apply(fields, fn, contour)
+
+    monkeypatch.setattr(calculus, "calderon_apply", spy)
+    for fn in (holo_exp(), holo_square(), holo_reciprocal(lower / 2.0)):
+        spy([u], fn)
+    invert(u)
+    divide(make_bump(spec, [(2.0, 4.0)]).field, u, make_bump(spec, [(0.05, 6.1)], [(2.0, 4.0)]), lower)
+    spy([f1, f2], holo_product2())
+    assert len(calls) == 6
+    for fields, fn in calls:
+        _assert_bound_covers_error(fields, fn)
+
+
+def test_quadrature_bound_needs_its_inner_term():
+    # every pole sits at 0.3 rho, close to the circle: the identity's outer
+    # term and the rounding are far below the error, and only the inner
+    # term q_in^n = 0.3^n (times M_in) covers it
+    rho = 0.75
+    rng = np.random.default_rng(4)
+    values = (2.0 + rng.random((1, 64))).astype(complex)
+    smoothed = values - 0.3 * rho * np.exp(2j * math.pi * rng.random((1, 64)))
+    fn = holo_identity()
+    bound = calculus._trapezoid_bound(fn, values, smoothed, rho, math.inf)
+    coarse, _ = calculus._contour_sums(values, smoothed, fn, rho, 16)
+    error = float(np.max(np.abs(coarse - values[0])))
+    assert 1e-10 < error <= bound(16)
+
+
+def test_explicit_node_count_is_honoured():
+    spec, u = cosine_field()
+    assert calderon_apply([u], holo_exp()).nodes_used == 32
+    result = calderon_apply([u], holo_exp(), ContourSpec(nodes_per_circle=40))
+    assert result.nodes_used == 80
+    assert result.pointwise_error <= result.quadrature_bound
+
+
+def test_function_without_modulus_bound_keeps_64_nodes():
+    spec, u = cosine_field()
+    result = calderon_apply([u], HoloFn(1, lambda z: np.exp(z[0]), entire_domain(1)))
+    assert result.nodes_used == 128
+    assert math.isinf(result.quadrature_bound)
 
 
 # ---------------------------------------------------------------------------

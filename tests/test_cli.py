@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import katokit
-from katokit import cli, kato
+from katokit import calculus, cli, kato
 from katokit.cli import main
 from katokit.grid import (
     constant_field,
@@ -219,6 +219,34 @@ def test_verify_peetre_passes(tmp_path, capsys):
     assert all(case["max_ratio"] <= 1.0 for case in report["cases"] if "max_ratio" in case)
     summary = json.loads((out / "summary.json").read_text())
     assert summary["overall"] == "PASS"
+
+
+def test_verify_calderon_quadrature_bounds_cover_the_errors(tmp_path, monkeypatch):
+    # every contour the suite runs with the default node choice, directly or
+    # through invert, divide, the chain rule and the witnesses, is also run
+    # at 16 nodes: both bounds must cover the observed pointwise error
+    contour = calculus.calderon_apply
+    calls = []
+
+    def spy(fields, fn, spec=None):
+        result = contour(fields, fn, spec)
+        if spec is None:
+            calls.append((fields, fn, result))
+        return result
+
+    monkeypatch.setattr(calculus, "calderon_apply", spy)
+    monkeypatch.setattr(cli, "calderon_apply", spy)
+    out = tmp_path / "rep"
+    assert main(["verify", "calderon", "--out", str(out), "--seed", "7"]) == 0
+    assert len(calls) == 9
+    floor = calculus.ContourSpec(nodes_per_circle=16, tolerance=math.inf, drift_tolerance=math.inf)
+    for fields, fn, result in calls:
+        assert result.pointwise_error <= result.quadrature_bound <= calculus.ContourSpec().tolerance
+        coarse = contour(fields, fn, floor)
+        assert coarse.pointwise_error <= coarse.quadrature_bound
+    cases = [c for c in json.loads((out / "calderon.json").read_text())["cases"] if "quadrature_bound" in c]
+    assert len(cases) == 4
+    assert all(c["pointwise_error"] <= c["quadrature_bound"] <= 1e-8 for c in cases)
 
 
 @pytest.mark.parametrize("suite", ["calderon", "weight-conv"])

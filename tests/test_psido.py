@@ -212,6 +212,20 @@ def test_operators_leave_the_callers_arrays_writable():
     assert not (op.tau.flags.writeable or given.tau.flags.writeable or given.entries.flags.writeable)
 
 
+def test_operator_copies_only_writeable_entries():
+    # a writeable array given to the constructor stays the caller's and
+    # writeable; a read-only one, as quantize hands over, is kept uncopied
+    given = np.eye(4, dtype=complex)
+    op = psido.OperatorMatrix(given, 0.5, 1, 4, 1.0)
+    assert given.flags.writeable and not op.entries.flags.writeable
+    given[0, 0] = 7.0
+    assert op.entries[0, 0] == 1.0
+    frozen = np.eye(4, dtype=complex)
+    frozen.setflags(write=False)
+    assert psido.OperatorMatrix(frozen, 0.5, 1, 4, 1.0).entries is frozen
+    assert operator_from_matrix(frozen, 0.5, 1, 4, 1.0).entries is frozen
+
+
 @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)])
 @pytest.mark.parametrize("entry", [lambda sym: quantize(sym, 0.5), symbol_l2_norm], ids=["quantize", "symbol_l2_norm"])
 def test_symbol_with_non_finite_sample_is_refused(entry, value):
