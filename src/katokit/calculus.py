@@ -44,6 +44,7 @@ from .grid import (
     make_mollifier,
     min_resolvable_epsilon,
     mollify,
+    require_finite,
     rescaled,
 )
 from .sobolev import h_norm, spectral_derivative
@@ -396,8 +397,10 @@ def range_diameter(fields: Sequence[Field]) -> float:
 # proxy v that lies within r of u they stay inside the domain (4r is half
 # the distance), and the poles zeta = u - v lie inside them.  Smoothing
 # starts at epsilon 0.4 and halves, at most 16 times, until v lies within
-# r of u.
+# r of u.  The smoothing kernel's support radius at epsilon 1 must lie below
+# the grid's half period.
 _RADIUS_FACTOR = 0.125
+_MOLLIFIER_RADIUS = 1.0
 _CONTOUR_RADIUS_IN_R = 3.0
 _EPS_START = 0.4
 _MAX_HALVINGS = 16
@@ -417,7 +420,7 @@ _ANNULUS_RATIOS = (0.7, 0.5, 0.45, 0.4, 0.3, 0.2, 0.1, 0.05, 0.02)
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Node count, mollifier radius and gates of the Cauchy representation.
+    """Node count and gates of the Cauchy representation.
 
     The trapezoid rule uses nodes_per_circle nodes per circle, checked
     against twice as many: the node-doubling drift must stay within
@@ -425,13 +428,10 @@ class ContourSpec:
     evaluation.  With nodes_per_circle None (the default) the count is the
     smallest in 16..64 whose a-priori trapezoid bound is at most a tenth of
     min(tolerance, drift_tolerance), and 64 when Phi has no modulus bound or
-    no count up to 64 meets that target.  mollifier_radius is the support
-    radius of the smoothing kernel at epsilon 1, below half the grid's
-    period.
+    no count up to 64 meets that target.
     """
 
     nodes_per_circle: int | None = None
-    mollifier_radius: float = 1.0
     tolerance: float = 1e-8
     drift_tolerance: float = 1e-9
 
@@ -442,8 +442,6 @@ class ContourSpec:
                 raise ContourConfigError(f"nodes_per_circle must be an integer, got {value!r}")
             if value < _MIN_NODES:
                 raise ContourConfigError(f"nodes_per_circle must be >= {_MIN_NODES}, got {value}")
-        if not (0.0 < self.mollifier_radius < math.inf):
-            raise ContourConfigError(f"mollifier_radius must be positive and finite, got {self.mollifier_radius}")
         # an infinite tolerance accepts any finite result (the node sweep uses it)
         for name in ("tolerance", "drift_tolerance"):
             value = getattr(self, name)
@@ -641,17 +639,17 @@ def calderon_apply(
     if not r > 0.0:
         raise ContourConfigError(f"margin radius must be positive, got r={r}")
 
-    if not contour.mollifier_radius < 0.5 * spec.period:
+    if not _MOLLIFIER_RADIUS < 0.5 * spec.period:
         raise ContourConfigError(
-            f"mollifier_radius {contour.mollifier_radius:g} must lie below the grid's half period "
+            f"the mollifier radius {_MOLLIFIER_RADIUS:g} must lie below the grid's half period "
             f"{0.5 * spec.period:.6g} to smooth the contour's proxy"
         )
-    eps_floor = min_resolvable_epsilon(spec, contour.mollifier_radius)
+    eps_floor = min_resolvable_epsilon(spec, _MOLLIFIER_RADIUS)
     if eps_floor > 1.0:
         raise MarginError(
             f"grid too coarse to mollify: the resolvable epsilon floor is {eps_floor:.3g} > 1"
         )
-    base = make_mollifier(spec, 1.0, contour.mollifier_radius)
+    base = make_mollifier(spec, 1.0, _MOLLIFIER_RADIUS)
     eps = max(_EPS_START, eps_floor)
     halvings = 0
     margin = math.inf
@@ -741,7 +739,9 @@ def invert(u: Field, order: MultiOrder | None = None) -> InversionResult:
 
     Reports the Sobolev norm of the result when `order` is given, as a
     finiteness witness for membership of 1/u in the same scale as u.
+    Raises NonFiniteError when a sample of u is NaN or infinite.
     """
+    require_finite(u.samples, "u")
     c = float(np.min(np.abs(u.samples)))
     if c < _MIN_LOWER_BOUND:
         raise HypothesisError(
@@ -751,7 +751,7 @@ def invert(u: Field, order: MultiOrder | None = None) -> InversionResult:
     res = calderon_apply([u], fn)
     residual = float(np.max(np.abs(u.samples * res.field.samples - 1.0)))
     tol = ContourSpec().tolerance
-    if residual > tol:
+    if not residual <= tol:
         raise QuadratureError(f"inversion residual sup|u/u - 1| = {residual:.3g} exceeds {tol:.3g}")
     hval = h_norm(res.field, order) if order is not None else None
     return InversionResult(res.field, c, residual, res, hval)
@@ -774,10 +774,14 @@ def divide(u: Field, v: Field, cutoff: Window | Field, c: float) -> DivisionResu
 
     Builds w = phi |v|^2 + c^2 (1 - phi) / 4 >= c^2 / 4 and returns
     conj(v) u invert(w), which equals u/v on supp u because phi = 1 there.
+    Raises NonFiniteError when a sample of u, v or the cutoff is NaN or
+    infinite.
     """
     phi = cutoff.field.samples if isinstance(cutoff, Window) else cutoff.samples
     if u.spec != v.spec or phi.shape != u.samples.shape:
         raise ShapeError("u, v and the cutoff must share one grid")
+    for samples, what in ((u.samples, "u"), (v.samples, "v"), (phi, "cutoff")):
+        require_finite(samples, what)
     if float(np.max(np.abs(np.imag(phi)))) > 1e-14:
         raise HypothesisError("cutoff must be real-valued")
     phi = np.real(phi)
@@ -805,7 +809,7 @@ def divide(u: Field, v: Field, cutoff: Window | Field, c: float) -> DivisionResu
     residual = 0.0
     if bool(np.any(supp_u)):
         residual = float(np.max(np.abs((result * v.samples - u.samples)[supp_u])))
-    if residual > _DIVISION_TOL:
+    if not residual <= _DIVISION_TOL:
         raise QuadratureError(f"division residual {residual:.3g} exceeds {_DIVISION_TOL:.3g} on supp u")
     return DivisionResult(
         field=Field(u.spec, result),
@@ -876,7 +880,7 @@ def joint_spectrum_witness(fields: Sequence[Field], lam: Sequence[complex]) -> W
     for k in range(len(fields)):
         combo += witnesses[k].samples * diffs[k]
     residual = float(np.max(np.abs(combo - 1.0)))
-    if residual > _WITNESS_RESIDUAL_TOL:
+    if not residual <= _WITNESS_RESIDUAL_TOL:
         raise QuadratureError(f"witness residual {residual:.3g} exceeds {_WITNESS_RESIDUAL_TOL:.3g}")
     return WitnessReport("witness", delta_inf, min_quad, residual, witnesses)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisError, ResolutionError
-from .grid import Field, GridSpec, coordinate_axes
+from .grid import Field, GridSpec, _along, coordinate_axes
 from .psido import Symbol
 from .weights import MultiOrder
 
@@ -141,9 +141,7 @@ def modulated_gaussian_values(
         for axis in range(spec.dim):
             disp = np.mod(coords[axis] - centers[axis] + 0.5 * spec.period, spec.period) - 0.5 * spec.period
             vals = np.exp(-(disp**2) / (2.0 * widths[axis] ** 2) + 1j * omega[axis] * disp)
-            shape = [1] * spec.dim
-            shape[axis] = -1
-            bump = bump * vals.reshape(shape)
+            bump = bump * _along(vals, spec.dim, axis)
         total = total + amp * bump
     return total
 

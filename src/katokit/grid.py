@@ -198,10 +198,15 @@ def plane_wave(spec: GridSpec, k: Sequence[int] | int) -> Field:
     phase = np.zeros(spec.shape, dtype=float)
     scale = 2.0 * math.pi / spec.period
     for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        phase = phase + scale * kvec[axis] * coords[axis].reshape(shape)
+        phase = phase + scale * kvec[axis] * _along(coords[axis], spec.dim, axis)
     return Field(spec, np.exp(1j * phase))
+
+
+def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
+    """vec as an ndim-dimensional view that varies along `axis` only."""
+    shape = [1] * ndim
+    shape[axis] = vec.size
+    return vec.reshape(shape)
 
 
 def to_spectrum(field: Field) -> np.ndarray:
@@ -393,9 +398,7 @@ def _outer_product(factors: Sequence[np.ndarray]) -> np.ndarray:
     dim = len(factors)
     samples = np.ones((factors[0].size,) * dim, dtype=float)
     for axis, vals in enumerate(factors):
-        shape = [1] * dim
-        shape[axis] = -1
-        samples = samples * vals.reshape(shape)
+        samples = samples * _along(vals, dim, axis)
     return samples
 
 

@@ -48,6 +48,7 @@ from .grid import (
     GridSpec,
     Mollifier,
     Window,
+    _along,
     axis_bump_values,
     coordinate_axes,
     gather_translates,
@@ -60,8 +61,8 @@ from .grid import (
     window_from_factors,
     window_from_samples,
 )
-from .sobolev import PartitionOfUnity, h_norm, weight_mesh
-from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
+from .sobolev import PartitionOfUnity, _schur_constant, h_norm, weight_mesh
+from .weights import MultiOrder, SigmaParams
 
 __all__ = [
     "ContinuousScheme",
@@ -222,9 +223,7 @@ def _leading_spectrum(samples: np.ndarray, tiles: tuple[np.ndarray, ...], leadin
     """u times the translates of the leading factors by `leading`, transformed
     over the leading axes (u itself when there are none)."""
     for axis, y in enumerate(leading):
-        shape = [1] * samples.ndim
-        shape[axis] = -1
-        samples = samples * gather_translates(tiles[axis], np.array([y])).reshape(shape)
+        samples = samples * _along(gather_translates(tiles[axis], np.array([y])), samples.ndim, axis)
     return np.fft.fftn(samples, axes=tuple(range(len(leading))), norm="forward") if leading else samples
 
 
@@ -470,8 +469,7 @@ def kato_product_check(
     spec_u = amalgam_spec(params.s, p, window)
     spec_v = amalgam_spec(params.t, q, window)
     spec_uv = amalgam_spec(params.sigma, r, chi_sq)
-    scale = (window.spec.period / (2.0 * math.pi)) ** window.spec.dim
-    reference = math.sqrt(scale * weight_conv_constant_total(params))
+    reference = _schur_constant(window.spec, params)
     ratios = []
     for u, v in pairs:
         uv = Field(u.spec, u.samples * v.samples)

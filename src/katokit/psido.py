@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import HypothesisError, ShapeError
-from .grid import Field, GridSpec, Window, frequency_mesh, from_spectrum, require_finite, to_spectrum
+from .grid import Field, GridSpec, Window, _along, frequency_mesh, from_spectrum, require_finite, to_spectrum
 from .kato import (
     ContinuousScheme,
     LatticeScheme,
@@ -193,13 +193,6 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     # read-only before it is handed over, so the operator keeps it uncopied
     entries.setflags(write=False)
     return OperatorMatrix(entries, tau_mat, n, num, spec.period)
-
-
-def _along(vec: np.ndarray, ndim: int, axis: int) -> np.ndarray:
-    """vec as an ndim-dimensional array that varies along `axis` only."""
-    shape = [1] * ndim
-    shape[axis] = vec.size
-    return vec.reshape(shape)
 
 
 def _twist(tau_mat: np.ndarray, num: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from .grid import (
     Field,
     GridSpec,
     Window,
+    _along,
     axis_bump_values,
     coordinate_axes,
     frequency_axes,
@@ -74,9 +75,7 @@ def weight_mesh(spec: GridSpec, order: MultiOrder) -> np.ndarray:
     for axes, s_l in zip(spec.block_axes, order.s):
         block_sq = np.zeros(spec.shape, dtype=float)
         for axis in axes:
-            shape = [1] * spec.dim
-            shape[axis] = -1
-            block_sq = block_sq + (freqs[axis] ** 2).reshape(shape)
+            block_sq = block_sq + _along(freqs[axis] ** 2, spec.dim, axis)
         out = out * (1.0 + block_sq) ** (0.5 * s_l)
     out.flags.writeable = False
     return out
@@ -105,9 +104,7 @@ def spectral_derivative(field: Field, axis: int) -> Field:
     if not 0 <= axis < spec.dim:
         raise ShapeError(f"axis {axis} out of range for dim {spec.dim}")
     f = frequency_axes(spec)[axis]
-    shape = [1] * spec.dim
-    shape[axis] = -1
-    return from_spectrum(spec, to_spectrum(field) * (1j * f.reshape(shape)))
+    return from_spectrum(spec, to_spectrum(field) * (1j * _along(f, spec.dim, axis)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +171,13 @@ def periodic_multiplier_constant(chi: Field, order: MultiOrder) -> float:
     return float(2.0 ** (0.5 * order.total_abs) * np.sum(w * coeffs))
 
 
+def _schur_constant(spec: GridSpec, params: SigmaParams) -> float:
+    """sqrt((L / 2 pi)^n prod_l C_l), the split-order product constant on the
+    grid: the lattice sum of the Schur bound approximates (L / 2 pi)^n times
+    the convolution integral."""
+    return math.sqrt((spec.period / (2.0 * math.pi)) ** spec.dim * weight_conv_constant_total(params))
+
+
 @dataclass(frozen=True)
 class ProductBoundReport:
     mode: str
@@ -193,18 +197,17 @@ def product_bound_check(
 ) -> ProductBoundReport:
     """Check one of the product estimates on concrete fields.
 
-    mode "window":        ||chi u||_s <= C(s, chi) ||u||_s, compact cutoff.
-    mode "periodic":      same with the periodic-multiplier constant.
-    mode "bounded_smooth": ratio recorded against the periodic constant.
-    mode "sobolev_pair":  ||u v||_sigma <= sqrt(prod C_l) ||u||_s ||v||_t with
-                          `params` a :class:`~katokit.weights.SigmaParams`;
-                          `chi` carries the second factor and `order` the
-                          first factor's order (params.s).
+    mode "window":       ||chi u||_s <= C(s, chi) ||u||_s, compact cutoff.
+    mode "periodic":     same with the periodic-multiplier constant.
+    mode "sobolev_pair": ||u v||_sigma <= sqrt(prod C_l) ||u||_s ||v||_t with
+                         `params` a :class:`~katokit.weights.SigmaParams`;
+                         `chi` carries the second factor and `order` the
+                         first factor's order (params.s).
     """
     if u.spec != chi.spec:
         raise ShapeError("fields must share a grid")
     spec = u.spec
-    if mode in ("window", "periodic", "bounded_smooth"):
+    if mode in ("window", "periodic"):
         lhs = h_norm(Field(spec, chi.samples * u.samples), order)
         base = h_norm(u, order)
         if mode == "window":
@@ -222,10 +225,7 @@ def product_bound_check(
         sigma = params.sigma
         lhs = h_norm(Field(spec, u.samples * chi.samples), sigma)
         denom = h_norm(u, params.s) * h_norm(chi, params.t)
-        # Discrete Schur bound: the lattice sum approximates (L / 2 pi)^n
-        # times the convolution integral, hence this scaling of the constant.
-        scale = (spec.period / (2.0 * math.pi)) ** spec.dim
-        const = math.sqrt(scale * weight_conv_constant_total(params))
+        const = _schur_constant(spec, params)
         ratio = lhs / max(denom, 1e-300)
         return ProductBoundReport(mode, lhs, denom, const, ratio, ratio <= const * 1.05)
     raise HypothesisError(f"unknown product bound mode {mode!r}")
@@ -292,9 +292,7 @@ def twisted_periodization(
     on_axis = [(np.mod(k_idx, lam) == residues[a]) for a in range(spec.dim)]
     mask = np.ones(spec.shape, dtype=bool)
     for axis in range(spec.dim):
-        shape = [1] * spec.dim
-        shape[axis] = -1
-        mask = mask & on_axis[axis].reshape(shape)
+        mask = mask & _along(on_axis[axis], spec.dim, axis)
     total = float(np.sum(np.abs(coeffs) ** 2))
     off = float(np.sum(np.abs(coeffs[~mask]) ** 2))
     off_ratio = off / max(total, 1e-300)

@@ -6,6 +6,7 @@ checked against a densely sampled boundary before the bisection route is
 trusted anywhere else.
 """
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -18,6 +19,7 @@ from katokit import calculus
 from katokit.errors import (
     ContourConfigError,
     MarginError,
+    NonFiniteError,
     OutOfDomainError,
     QuadratureError,
     ShapeError,
@@ -163,8 +165,6 @@ def test_contour_rejects_too_few_nodes():
         ("tolerance", 0.0),
         ("drift_tolerance", -1e-9),
         ("nodes_per_circle", 16.5),
-        ("mollifier_radius", 0.0),
-        ("mollifier_radius", math.nan),
     ],
 )
 def test_contour_spec_refuses_bad_value(field, value):
@@ -364,9 +364,11 @@ def test_drift_gate_compares_the_doubled_sums():
 
 
 def test_mollifier_radius_past_half_period_is_a_contour_error():
-    spec, u = cosine_field()
-    with pytest.raises(ContourConfigError, match=r"mollifier_radius 4 .*half period 3\.14159"):
-        calderon_apply([u], holo_exp(), ContourSpec(mollifier_radius=4.0))
+    # the smoothing kernel's radius 1 does not fit below a half period of 0.75
+    spec = make_grid(1, N, period=1.5)
+    u = field_from_values(spec, 2.0 + np.cos(4.0 * math.pi * np.asarray(coordinate_axes(spec)[0]) / 1.5))
+    with pytest.raises(ContourConfigError, match=r"mollifier radius 1 .*half period 0\.75"):
+        calderon_apply([u], holo_exp())
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +564,52 @@ def test_divide_rejects_cutoff_not_one_on_support():
     bad_cutoff = make_bump(spec, [(2.5, 3.5)], [(2.8, 3.2)])
     with pytest.raises(HypothesisError):
         divide(u, v, bad_cutoff, c=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("argument", ["u", "v", "cutoff"])
+def test_divide_refuses_non_finite_samples_naming_the_argument(argument, bad):
+    spec, v = cosine_field()
+    u = make_bump(spec, [(2.0, 4.0)]).field
+    cutoff = make_bump(spec, [(0.05, 6.1)], [(2.0, 4.0)]).field
+    args = {"u": u, "v": v, "cutoff": cutoff}
+    samples = np.array(args[argument].samples, dtype=complex)
+    samples[9] = bad
+    args[argument] = Field(spec, samples)
+    with pytest.raises(NonFiniteError, match=rf"^{argument}: 1 non-finite sample\(s\), the first at flat index 9"):
+        divide(args["u"], args["v"], args["cutoff"], c=1.0)
+
+
+def test_invert_refuses_a_non_finite_sample():
+    spec, u = cosine_field()
+    samples = np.array(u.samples, dtype=complex)
+    samples[4] = math.nan
+    with pytest.raises(NonFiniteError, match=r"^u: 1 non-finite sample\(s\), the first at flat index 4"):
+        invert(Field(spec, samples))
+
+
+def _nan_at_first_sample(result):
+    samples = np.array(result.field.samples)
+    samples[0] = math.nan
+    return dataclasses.replace(result, field=Field(result.field.spec, samples))
+
+
+@pytest.mark.parametrize(
+    "patched, run",
+    [
+        ("calderon_apply", lambda u: invert(u)),
+        ("invert", lambda u: divide(u, u, constant_field(u.spec, 1.0), c=1.0)),
+        ("invert", lambda u: joint_spectrum_witness([u], [0.0])),
+    ],
+    ids=["invert", "divide", "witness"],
+)
+def test_residual_gates_refuse_a_nan_residual(monkeypatch, patched, run):
+    # a NaN in the value the gate checks must fail the gate, not pass it
+    original = getattr(calculus, patched)
+    monkeypatch.setattr(calculus, patched, lambda *a, **k: _nan_at_first_sample(original(*a, **k)))
+    spec, u = cosine_field()
+    with pytest.raises(QuadratureError, match=r"residual .*nan exceeds"):
+        run(u)
 
 
 # ---------------------------------------------------------------------------

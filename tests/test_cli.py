@@ -1,5 +1,7 @@
 """Command-line surface: compute, verify, report, exit codes, determinism."""
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -408,6 +410,54 @@ def test_verify_refuses_option_of_another_type(tmp_path, capsys, suite, option, 
     assert not out.exists()
 
 
+def _short_circuit_calls(tree: ast.Module) -> list[str]:
+    """`_suite_*:line` for each all() or any() over a generator holding a call."""
+    return [
+        f"{fn.name}:{node.lineno}"
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("all", "any")
+        and any(isinstance(a, ast.GeneratorExp) and any(isinstance(n, ast.Call) for n in ast.walk(a)) for a in node.args)
+    ]
+
+
+def test_no_suite_short_circuits_over_library_calls():
+    # all() over a generator that calls the library stops at the first
+    # failure and skips the later calls, so a suite builds its list first
+    assert _short_circuit_calls(ast.parse("def _suite_x(seed):\n    return all(f(r) for r in rs)\n")) == ["_suite_x:2"]
+    assert _short_circuit_calls(ast.parse(Path(cli.__file__).read_text())) == []
+
+
+def test_suite_keywords_are_its_default_options():
+    keywords = {}
+    for sid, (run, _, defaults) in cli._SUITES.items():
+        params = inspect.signature(run).parameters
+        assert list(params)[0] == "seed", sid
+        assert all(cli._fits(value, value) for value in defaults.values()), sid
+        keywords[sid] = {name for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
+    assert keywords == {sid: set(defaults) for sid, (_, _, defaults) in cli._SUITES.items()}
+
+
+def test_suite_options_arrive_as_their_defaults_types(tmp_path, monkeypatch):
+    seen = {}
+
+    def spy(seed, **options):
+        seen.update(options)
+        return [cli._case("spy", cli.PASS)], {}
+
+    defaults = {"ratio": 0.5, "p_values": [1.0, "inf"], "bracket": (0.02, 50.0), "pairs": [(2.0, 1.0)], "count": 3}
+    monkeypatch.setattr(cli, "_SUITES", {"spy": (spy, "options arrive typed", defaults)})
+    overrides = {"ratio": 1, "p_values": [2, "Infinity"], "bracket": [1, 2], "pairs": [[3, 1.5]]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"spy": overrides}}))
+    assert main(["verify", "spy", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+    # repr tells 1 from 1.0 and a tuple from a list
+    want = {"ratio": 1.0, "p_values": [2.0, math.inf], "bracket": (1.0, 2.0), "pairs": [(3.0, 1.5)], "count": 3}
+    assert repr(seen) == repr(want)
+    assert '"ratio": 1.0' in (tmp_path / "r" / "spy.json").read_text()
+
+
 def test_config_accepts_integers_for_numbers_and_inf_for_p(tmp_path):
     overrides = {
         "window-independence": {"p_values": [1, 2.5, "inf"], "bracket": [1, 50], "stability_rtol": 1},
@@ -545,6 +595,27 @@ def test_report_malformed_json_names_byte_offset(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "byte" in err and "broken.json" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[], [{"x": 1}], {"cases": [1]}, {"suite": "peetre", "cases": {"label": "x"}}],
+    ids=["empty-list", "list", "case-not-object", "cases-not-list"],
+)
+def test_report_refuses_a_file_without_a_suite_report(tmp_path, capsys, payload):
+    bad = tmp_path / "odd.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["report", str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_report_refuses_a_directory_holding_a_malformed_report(tmp_path, capsys):
+    out = tmp_path / "rep"
+    assert main(["verify", "peetre", "--out", str(out), "--seed", "3"]) == 0
+    (out / "odd.json").write_text(json.dumps({"suite": "odd", "cases": [1]}))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 2
+    assert f"{out / 'odd.json'}: 'cases' must be a list of objects" in capsys.readouterr().err
 
 
 def test_usage_error_is_exit_two(capsys):
