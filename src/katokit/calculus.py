@@ -21,6 +21,7 @@ witnesses are all thin wrappers over this representation.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,6 +33,7 @@ from .errors import (
     GridError,
     HypothesisError,
     MarginError,
+    NonFiniteError,
     OutOfDomainError,
     QuadratureError,
     ResolutionError,
@@ -862,10 +864,16 @@ def joint_spectrum_witness(fields: Sequence[Field], lam: Sequence[complex]) -> W
 
     A point lambda within 1e-6 (sup-norm) of the sampled range admits
     no stable witness; the report then carries status "refused" and the
-    measured minimum of the quadratic sum_k |u_k - lambda_k|^2.
+    measured minimum of the quadratic sum_k |u_k - lambda_k|^2.  Raises
+    NonFiniteError when a sample of a field or a component of lambda is NaN
+    or infinite.
     """
     if len(lam) != len(fields):
         raise ShapeError("need one lambda component per field")
+    for k, (field, z) in enumerate(zip(fields, lam)):
+        require_finite(field.samples, f"fields[{k}]")
+        if not cmath.isfinite(z):
+            raise NonFiniteError(f"lam[{k}] = {z!r} is not finite")
     spec = fields[0].spec
     values = _stack_values(fields)
     diffs = values - np.asarray(lam, dtype=complex).reshape(-1, *([1] * spec.dim))

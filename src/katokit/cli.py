@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import platform
@@ -104,6 +105,7 @@ from .psido import (
     hs_identity_gap,
     isometry_from_matrix,
     make_symbol,
+    operator_from_matrix,
     quantize,
     schatten_bound_check,
     schatten_norm,
@@ -136,7 +138,7 @@ def _aggregate(verdicts: Sequence[str]) -> str:
     return worst
 
 
-def _suite_seed(base: int, suite_id: str) -> int:
+def _per_suite_seed(base: int, suite_id: str) -> int:
     """Per-suite seed: stable under reordering and suite subset selection."""
     seq = np.random.SeedSequence([int(base), zlib.crc32(suite_id.encode("ascii"))])
     return int(seq.generate_state(1)[0])
@@ -228,18 +230,41 @@ def _bracket_power(xi: Sequence[float], s: Sequence[float]) -> float:
 # in call order.  A case reads `all(r.passed for r in reps)`, and its worst
 # value as `max(0.0, *values)`, which keeps a NaN where a running max would.
 # No `all()` runs over a generator that calls the library: it would stop at
-# the first failure and skip the later calls.  A suite takes the seed and
-# its options as keywords, each already of its default's type (`_typed`).  A
-# result the library has accepted, past the gates it raises on, reads PASS.
+# the first failure and skip the later calls.  A result the library has
+# accepted, past the gates it raises on, reads PASS.
+#
+# `@_suite(id, claim)` registers each suite in `_SUITES` as id -> (run,
+# claim), in definition order, which is the run order.  A run takes the seed
+# and returns (cases, plot tables); its keyword-only parameters are the
+# options a config may override, and their defaults fix each option's type.
+# A list default in a signature is one object shared by every call, which is
+# safe here: `_run_suite` always passes every option, freshly typed.
+
+_SUITES: dict[str, tuple[Callable[..., tuple[list, dict]], str]] = {}
 
 
-def _suite_peetre(seed: int, *, samples: int, max_dim: int, order_bound: float, scale: float):
+def _suite(sid: str, claim: str):
+    def register(run):
+        _SUITES[sid] = (run, claim)
+        return run
+
+    return register
+
+
+def _defaults(run) -> dict:
+    """A suite run's options and their defaults."""
+    return {name: p.default for name, p in inspect.signature(run).parameters.items() if p.kind is p.KEYWORD_ONLY}
+
+
+@_suite("peetre", "the two-sided weight quotient stays at or below one for every split order")
+def _suite_peetre(seed: int, *, samples=100_000, max_dim=4, order_bound=3.0, scale=50.0):
     rep = peetre_check(samples=samples, seed=seed, max_dim=max_dim, order_bound=order_bound, scale=scale)
     label = f"randomized two-sided quotient, {rep.samples} draws"
     return [_case(label, _verdict(rep.passed), max_ratio=rep.max_ratio)], {}
 
 
-def _suite_weight_conv(seed: int, *, box: float, step: float, probes_per_block: int):
+@_suite("weight-conv", "truncated weight convolutions stay below their closed-form constants")
+def _suite_weight_conv(seed: int, *, box=24.0, step=0.05, probes_per_block=17):
     combos = [
         ((1.0,), (1.0,), (0.25,), (1,)),
         ((-0.5,), (2.0,), (0.25,), (1,)),
@@ -251,7 +276,11 @@ def _suite_weight_conv(seed: int, *, box: float, step: float, probes_per_block: 
     return [_case(label, r.verdict, max_ratio=r.max_ratio, tail_fraction=r.tail_fraction) for label, r in zip(labels, reps)], {}
 
 
-def _suite_spectral_exactness(seed: int, *, samples_per_axis: int, tol: float):
+@_suite(
+    "spectral-exactness",
+    "plane waves are exact eigenvectors of weight multipliers, derivatives, and quantized frequency multipliers",
+)
+def _suite_spectral_exactness(seed: int, *, samples_per_axis=64, tol=1e-10):
     cases = []
 
     spec = make_grid(1, samples_per_axis)
@@ -302,7 +331,11 @@ def _suite_spectral_exactness(seed: int, *, samples_per_axis: int, tol: float):
     return cases, {}
 
 
-def _suite_exact_identities(seed: int, *, samples_per_axis: int, count: int, tol: float, hs_tol: float):
+@_suite(
+    "exact-identities",
+    "derivative norm splits, partition retraction, and the Hilbert-Schmidt identity hold to stated precision",
+)
+def _suite_exact_identities(seed: int, *, samples_per_axis=128, count=8, tol=1e-10, hs_tol=1e-8):
     cases = []
 
     spec = make_grid(1, samples_per_axis)
@@ -338,7 +371,8 @@ def _suite_exact_identities(seed: int, *, samples_per_axis: int, count: int, tol
     return cases, {}
 
 
-def _suite_window_bound(seed: int, *, samples_per_axis: int, count: int):
+@_suite("window-bound", "window and periodic multiplier constants bound the weighted norm of a product")
+def _suite_window_bound(seed: int, *, samples_per_axis=128, count=20):
     spec = make_grid(1, samples_per_axis)
     fields = _fields(seed, 0, count, spec)
     order = multi_order(1.2, (1,))
@@ -356,7 +390,8 @@ def _suite_window_bound(seed: int, *, samples_per_axis: int, count: int):
     return cases, {}
 
 
-def _suite_sobolev_product(seed: int, *, samples_per_axis: int, count: int):
+@_suite("sobolev-product", "products of field pairs obey the split-order bound with the closed-form constant")
+def _suite_sobolev_product(seed: int, *, samples_per_axis=128, count=12):
     spec = make_grid(1, samples_per_axis)
     pairs = zip(_fields(seed, 0, count, spec), _fields(seed, 1, count, spec))
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
@@ -366,7 +401,8 @@ def _suite_sobolev_product(seed: int, *, samples_per_axis: int, count: int):
     return [_case(label, verdict, max_ratio=max(0.0, *(r.ratio for r in reps)), constant=reps[-1].constant)], {}
 
 
-def _suite_twisted_periodization(seed: int, *, samples_per_axis: int, cells_per_axis: int):
+@_suite("twisted-periodization", "phase-twisted lattice periodizations occupy a single frequency coset")
+def _suite_twisted_periodization(seed: int, *, samples_per_axis=128, cells_per_axis=4):
     spec = make_grid(1, samples_per_axis)
     cell = spec.period / cells_per_axis
     window = make_bump(spec, [(0.15 * cell, 0.9 * cell)], [(0.4 * cell, 0.6 * cell)])
@@ -385,9 +421,8 @@ def _suite_twisted_periodization(seed: int, *, samples_per_axis: int, cells_per_
     ], {}
 
 
-def _suite_lattice_decomposition(
-    seed: int, *, resolutions: list, count: int, cells_per_axis: int, stability_rtol: float
-):
+@_suite("lattice-decomposition", "the square-summed lattice localization stays inside its two-sided bracket")
+def _suite_lattice_decomposition(seed: int, *, resolutions=[128, 256], count=50, cells_per_axis=4, stability_rtol=0.10):
     order = multi_order(1.0, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -407,7 +442,8 @@ def _suite_lattice_decomposition(
     return cases, {}
 
 
-def _suite_h_equals_k2(seed: int, *, resolutions: list, count: int, cells_per_axis: int, agreement_tol: float):
+@_suite("h-equals-k2", "the sliding-window route and the partition route to the quadratic amalgam norm agree")
+def _suite_h_equals_k2(seed: int, *, resolutions=[128, 256], count=16, cells_per_axis=4, agreement_tol=1e-10):
     order = multi_order(1.0, (1,))
     cases = []
     for n_res in resolutions:
@@ -432,8 +468,10 @@ def _require_p_two(p_values: list) -> None:
         raise HypothesisError(f"option 'p_values' must include 2, which the stability case follows; got {p_values!r}")
 
 
+@_suite("window-independence", "amalgam norms built from two admissible windows differ by a bounded, stable factor")
 def _suite_window_independence(
-    seed: int, *, resolutions: list, count: int, p_values: list, bracket: tuple, stability_rtol: float
+    seed: int, *, resolutions=[128, 256], count=50, p_values=[1.0, 2.0, "inf"], bracket=(0.02, 50.0),
+    stability_rtol=0.10,
 ):
     _require_p_two(p_values)
     order = multi_order(1.0, (1,))
@@ -458,7 +496,8 @@ def _suite_window_independence(
     return cases, {}
 
 
-def _suite_embedding_chain(seed: int, *, samples_per_axis: int, count: int, p_values: list):
+@_suite("embedding-chain", "amalgam norms decrease along the integrability exponent and along the order")
+def _suite_embedding_chain(seed: int, *, samples_per_axis=128, count=10, p_values=[1.0, 2.0, 4.0, "inf"]):
     spec = make_grid(1, samples_per_axis)
     fields = _fields(seed, 0, count, spec)
     order = multi_order(1.0, (1,))
@@ -477,7 +516,8 @@ def _suite_embedding_chain(seed: int, *, samples_per_axis: int, count: int, p_va
     return cases, {}
 
 
-def _suite_kato_product(seed: int, *, samples_per_axis: int, count: int, slack: float):
+@_suite("kato-product", "windowed norms of products obey the split-order bound with the explicit reference constant")
+def _suite_kato_product(seed: int, *, samples_per_axis=128, count=10, slack=1.05):
     spec = make_grid(1, samples_per_axis)
     pairs = list(zip(_fields(seed, 0, count, spec), _fields(seed, 1, count, spec)))
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
@@ -488,7 +528,8 @@ def _suite_kato_product(seed: int, *, samples_per_axis: int, count: int, slack: 
     return [_case(label, verdict, max_ratio=rep.max_ratio, reference_constant=rep.reference_constant)], {}
 
 
-def _suite_retraction(seed: int, *, resolutions: list, count: int, cells_per_axis: int, tol: float):
+@_suite("retraction", "localized sections reassemble the field exactly with comparable section norms")
+def _suite_retraction(seed: int, *, resolutions=[128, 256], count=8, cells_per_axis=4, tol=1e-10):
     order = multi_order(1.0, (1,))
     cases = []
     for n_res in resolutions:
@@ -502,9 +543,11 @@ def _suite_retraction(seed: int, *, resolutions: list, count: int, cells_per_axi
     return cases, {}
 
 
+@_suite("mollifier-rate", "smoothing errors obey the explicit two-power bound and realize the predicted rate")
 def _suite_mollifier_rate(
-    seed: int, *, samples_per_axis: int, count: int, kmax: int, delta: float,
-    epsilons: list, pairs: list, slope_tol: float, fit_floor: float,
+    seed: int, *, samples_per_axis=1024, count=8, kmax=500, delta=0.02,
+    epsilons=[0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05], pairs=[(2.0, 1.0), (1.5, 1.0), (1.0, 0.75)],
+    slope_tol=0.1, fit_floor=0.1,
 ):
     spec = make_grid(1, samples_per_axis)
     moll = make_mollifier(spec)
@@ -535,7 +578,11 @@ def _suite_mollifier_rate(
     return cases, plots
 
 
-def _suite_calderon(seed: int, *, samples_per_axis: int, samples_per_axis_2d: int, node_sweep: list):
+@_suite(
+    "calderon",
+    "the contour calculus reproduces identity, square, exponential, reciprocal, and quotient values with stable quadrature",
+)
+def _suite_calderon(seed: int, *, samples_per_axis=256, samples_per_axis_2d=32, node_sweep=[16, 24, 32, 48, 64]):
     spec = make_grid(1, samples_per_axis)
     x = coordinate_axes(spec)[0]
     u0 = field_from_values(spec, 2.0 + np.cos(x))
@@ -602,8 +649,9 @@ def _suite_calderon(seed: int, *, samples_per_axis: int, samples_per_axis_2d: in
     return cases, plots
 
 
+@_suite("sw-embedding", "the sliding-window modulation norm is controlled by the explicit windowed majorant")
 def _suite_sw_embedding(
-    seed: int, *, resolutions: list, count: int, p_values: list, order: float, bracket: float, stability_rtol: float
+    seed: int, *, resolutions=[128, 256], count=50, p_values=[1.0, 2.0], order=1.5, bracket=10.0, stability_rtol=0.10
 ):
     _require_p_two(p_values)
     weight_order = multi_order(order, (1,))
@@ -649,9 +697,13 @@ def _suite_sw_embedding(
     return cases, {}
 
 
+@_suite(
+    "schatten",
+    "quantized symbols obey the Hilbert-Schmidt identity, Schatten monotonicity, and reflection-invariant singular values",
+)
 def _suite_schatten(
-    seed: int, *, resolutions: list, bound_resolutions: list, count: int, taus: list, hs_tol: float,
-    center_box: tuple, width_range: tuple, stability_rtol: float,
+    seed: int, *, resolutions=[16, 32], bound_resolutions=[32, 64], count=6, taus=[0.0, 0.5, 1.0], hs_tol=1e-8,
+    center_box=(1.5, 5.5), width_range=(0.5, 0.9), stability_rtol=0.10,
 ):
     cases = []
     identity_track = []
@@ -687,7 +739,7 @@ def _suite_schatten(
         flip = (-np.arange(n_res)) % n_res
         conj = op0.entries[np.ix_(flip, flip)]
         sv_a = np.sort(op0.singular_values())
-        sv_b = np.sort(np.linalg.svd(conj, compute_uv=False))
+        sv_b = np.sort(operator_from_matrix(conj, op0.tau, 1, n_res, sym_spec.period).singular_values())
         sv_gap = float(np.max(np.abs(sv_a - sv_b)) / max(float(sv_a[-1]), 1e-300))
         label = f"singular values invariant under grid reflection, {n_res} samples"
         cases.append(_case(label, _verdict(sv_gap <= 1e-9), max_rel_gap=sv_gap))
@@ -727,7 +779,8 @@ def _suite_schatten(
     return cases, {}
 
 
-def _suite_coordinate_change(seed: int, *, samples_per_axis: int, count: int, tol: float):
+@_suite("coordinate-change", "radial frequency multipliers commute with every signed axis permutation")
+def _suite_coordinate_change(seed: int, *, samples_per_axis=32, count=5, tol=1e-11):
     spec = make_grid(2, samples_per_axis, blocks=(2,))
     fields = _fields(seed, 0, count, spec, kmax=6)
     multipliers = [
@@ -750,134 +803,6 @@ def _suite_coordinate_change(seed: int, *, samples_per_axis: int, count: int, to
     mat = np.linalg.matrix_power(rot.matrix(), 4)
     cases.append(_case("quarter turn has order four", _verdict(bool(np.array_equal(mat, np.eye(2))))))
     return cases, {}
-
-
-# One record per suite, in run order: (run, claim, default options).  A run
-# takes (seed, **options) and returns (cases, plot tables); the options a
-# config may override are exactly the keys of the defaults.
-_SUITES: dict[str, tuple[Callable[..., tuple[list, dict]], str, dict]] = {
-    "peetre": (
-        _suite_peetre,
-        "the two-sided weight quotient stays at or below one for every split order",
-        {"samples": 100_000, "max_dim": 4, "order_bound": 3.0, "scale": 50.0},
-    ),
-    "weight-conv": (
-        _suite_weight_conv,
-        "truncated weight convolutions stay below their closed-form constants",
-        {"box": 24.0, "step": 0.05, "probes_per_block": 17},
-    ),
-    "spectral-exactness": (
-        _suite_spectral_exactness,
-        "plane waves are exact eigenvectors of weight multipliers, derivatives, and quantized frequency multipliers",
-        {"samples_per_axis": 64, "tol": 1e-10},
-    ),
-    "exact-identities": (
-        _suite_exact_identities,
-        "derivative norm splits, partition retraction, and the Hilbert-Schmidt identity hold to stated precision",
-        {"samples_per_axis": 128, "count": 8, "tol": 1e-10, "hs_tol": 1e-8},
-    ),
-    "window-bound": (
-        _suite_window_bound,
-        "window and periodic multiplier constants bound the weighted norm of a product",
-        {"samples_per_axis": 128, "count": 20},
-    ),
-    "sobolev-product": (
-        _suite_sobolev_product,
-        "products of field pairs obey the split-order bound with the closed-form constant",
-        {"samples_per_axis": 128, "count": 12},
-    ),
-    "twisted-periodization": (
-        _suite_twisted_periodization,
-        "phase-twisted lattice periodizations occupy a single frequency coset",
-        {"samples_per_axis": 128, "cells_per_axis": 4},
-    ),
-    "lattice-decomposition": (
-        _suite_lattice_decomposition,
-        "the square-summed lattice localization stays inside its two-sided bracket",
-        {"resolutions": [128, 256], "count": 50, "cells_per_axis": 4, "stability_rtol": 0.10},
-    ),
-    "h-equals-k2": (
-        _suite_h_equals_k2,
-        "the sliding-window route and the partition route to the quadratic amalgam norm agree",
-        {"resolutions": [128, 256], "count": 16, "cells_per_axis": 4, "agreement_tol": 1e-10},
-    ),
-    "window-independence": (
-        _suite_window_independence,
-        "amalgam norms built from two admissible windows differ by a bounded, stable factor",
-        {
-            "resolutions": [128, 256],
-            "count": 50,
-            "p_values": [1.0, 2.0, "inf"],
-            "bracket": (0.02, 50.0),
-            "stability_rtol": 0.10,
-        },
-    ),
-    "embedding-chain": (
-        _suite_embedding_chain,
-        "amalgam norms decrease along the integrability exponent and along the order",
-        {"samples_per_axis": 128, "count": 10, "p_values": [1.0, 2.0, 4.0, "inf"]},
-    ),
-    "kato-product": (
-        _suite_kato_product,
-        "windowed norms of products obey the split-order bound with the explicit reference constant",
-        {"samples_per_axis": 128, "count": 10, "slack": 1.05},
-    ),
-    "retraction": (
-        _suite_retraction,
-        "localized sections reassemble the field exactly with comparable section norms",
-        {"resolutions": [128, 256], "count": 8, "cells_per_axis": 4, "tol": 1e-10},
-    ),
-    "mollifier-rate": (
-        _suite_mollifier_rate,
-        "smoothing errors obey the explicit two-power bound and realize the predicted rate",
-        {
-            "samples_per_axis": 1024,
-            "count": 8,
-            "kmax": 500,
-            "delta": 0.02,
-            "epsilons": [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05],
-            "pairs": [(2.0, 1.0), (1.5, 1.0), (1.0, 0.75)],
-            "slope_tol": 0.1,
-            "fit_floor": 0.1,
-        },
-    ),
-    "calderon": (
-        _suite_calderon,
-        "the contour calculus reproduces identity, square, exponential, reciprocal, and quotient values with stable quadrature",
-        {"samples_per_axis": 256, "samples_per_axis_2d": 32, "node_sweep": [16, 24, 32, 48, 64]},
-    ),
-    "sw-embedding": (
-        _suite_sw_embedding,
-        "the sliding-window modulation norm is controlled by the explicit windowed majorant",
-        {
-            "resolutions": [128, 256],
-            "count": 50,
-            "p_values": [1.0, 2.0],
-            "order": 1.5,
-            "bracket": 10.0,
-            "stability_rtol": 0.10,
-        },
-    ),
-    "schatten": (
-        _suite_schatten,
-        "quantized symbols obey the Hilbert-Schmidt identity, Schatten monotonicity, and reflection-invariant singular values",
-        {
-            "resolutions": [16, 32],
-            "bound_resolutions": [32, 64],
-            "count": 6,
-            "taus": [0.0, 0.5, 1.0],
-            "hs_tol": 1e-8,
-            "center_box": (1.5, 5.5),
-            "width_range": (0.5, 0.9),
-            "stability_rtol": 0.10,
-        },
-    ),
-    "coordinate-change": (
-        _suite_coordinate_change,
-        "radial frequency multipliers commute with every signed axis permutation",
-        {"samples_per_axis": 32, "count": 5, "tol": 1e-11},
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -931,25 +856,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text, encoding="ascii")
 
 
-def _write_cases_csv(path: Path, cases: list[dict]) -> None:
-    columns: list[str] = []
-    for case in cases:
-        for key in case:
-            if key not in columns:
-                columns.append(key)
-    with path.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for case in cases:
-            writer.writerow(["" if case.get(c) is None else case.get(c) for c in columns])
-
-
-def _write_plot_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> None:
     with path.open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def _case_table(cases: list[dict]) -> tuple[list[str], list[list]]:
+    """The union of the case keys in first-seen order, and one row per case, blank where it lacks a key."""
+    columns = list(dict.fromkeys(key for case in cases for key in case))
+    return columns, [["" if case.get(c) is None else case[c] for c in columns] for case in cases]
 
 
 def _environment() -> dict:
@@ -991,54 +908,50 @@ def _load_config(path: str | None) -> dict:
             raise _UsageError(f"unknown suite in config: {sid!r}")
         if not isinstance(overrides, dict):
             raise _UsageError(f"config for suite {sid!r} must be an object")
-        defaults = _SUITES[sid][2]
+        defaults = _defaults(_SUITES[sid][0])
         bad = set(overrides) - set(defaults)
         if bad:
             raise _UsageError(f"unknown options for suite {sid!r}: {sorted(bad)}")
         for key, value in overrides.items():
-            if key == "count" and not (_fits(value, 1) and value >= 1):
+            if key == "count" and (_typed(value, 1) is None or value < 1):
                 raise _UsageError(f"option 'count' of suite {sid!r} must be an integer >= 1, got {value!r}")
-            if not _fits(value, defaults[key]):
+            if _typed(value, defaults[key]) is None:
                 default = json.dumps(_jsonable(defaults[key]))
                 raise _UsageError(f"option {key!r} of suite {sid!r} must have the type of its default {default}, got {value!r}")
     return cfg
 
 
-def _fits(value, default) -> bool:
-    """Whether a config value has the JSON type of its default: an integer, a
-    finite number, the string "inf", a list as long as a tuple default whose
-    elements fit the tuple's in turn (or such a tuple, so that every default
-    fits itself), or a non-empty list each of whose elements fits some
-    element of a list default.  (Python's JSON reader accepts NaN and
-    Infinity, which are not JSON: a NaN tolerance would read FAIL, an
+def _typed(value, default):
+    """A config value as its default's type, or None when it lacks the
+    default's JSON type: an integer for an integer default; a float, from an
+    integer or a finite number, for a float default; math.inf for an "inf"
+    name; a tuple for a list as long as a tuple default, each element typed
+    as the tuple's in turn (a tuple is accepted too, so every default types
+    as itself); and a non-empty list for a list default, each element typed
+    as the first default element it fits.  (Python's JSON reader accepts NaN
+    and Infinity, which are not JSON: a NaN tolerance would read FAIL, an
     infinite one PASS.)"""
     if isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
-        return False
+        return None
     if isinstance(default, tuple):
-        return isinstance(value, (list, tuple)) and len(value) == len(default) and all(map(_fits, value, default))
-    if isinstance(default, list):
-        return isinstance(value, list) and bool(value) and all(any(_fits(v, d) for d in default) for v in value)
-    if isinstance(default, str):
-        return isinstance(value, str) and value.strip().lower() in _INF_NAMES
-    return isinstance(value, (int, float) if isinstance(default, float) else int)
-
-
-def _typed(value, default):
-    """A config value that `_fits` its default, as the default's type: a float
-    for a float default, math.inf for an "inf" name, a tuple for a tuple
-    default (element by element), and a list element as the first default
-    element it fits."""
-    if isinstance(default, tuple):
-        return tuple(map(_typed, value, default))
-    if isinstance(default, list):
-        return [_typed(v, next(d for d in default if _fits(v, d))) for v in value]
-    if isinstance(default, str):
-        return math.inf
-    return float(value) if isinstance(default, float) else value
+        if not (isinstance(value, (list, tuple)) and len(value) == len(default)):
+            return None
+        typed = tuple(map(_typed, value, default))
+    elif isinstance(default, list):
+        if not (isinstance(value, list) and value):
+            return None
+        typed = [next((t for t in (_typed(v, d) for d in default) if t is not None), None) for v in value]
+    elif isinstance(default, str):
+        return math.inf if isinstance(value, str) and value.strip().lower() in _INF_NAMES else None
+    elif isinstance(default, float):
+        return float(value) if isinstance(value, (int, float)) else None
+    else:
+        return value if isinstance(value, int) else None
+    return None if None in typed else typed
 
 
 def _check_seed(seed, what: str) -> None:
-    if not (_fits(seed, 0) and seed >= 0):
+    if _typed(seed, 0) is None or seed < 0:
         raise _UsageError(f"{what} must be an integer >= 0, got {seed!r}")
 
 
@@ -1047,10 +960,10 @@ class _UsageError(Exception):
 
 
 def _run_suite(sid: str, cfg_all: dict, base_seed: int):
-    run, claim, defaults = _SUITES[sid]
+    run, claim = _SUITES[sid]
     overrides = cfg_all.get("suites", {}).get(sid, {})
-    options = {key: _typed(overrides.get(key, default), default) for key, default in defaults.items()}
-    seed = _suite_seed(base_seed, sid)
+    options = {key: _typed(overrides.get(key, default), default) for key, default in _defaults(run).items()}
+    seed = _per_suite_seed(base_seed, sid)
     cases, plots = run(seed, **options)
     verdict = _aggregate([c["verdict"] for c in cases])
     report = {
@@ -1087,9 +1000,9 @@ def cmd_verify(args) -> int:
             errors[sid] = type(exc).__name__
             continue
         _write_json(out / f"{sid}.json", report)
-        _write_cases_csv(out / f"{sid}-cases.csv", report["cases"])
+        _write_csv(out / f"{sid}-cases.csv", *_case_table(report["cases"]))
         for fname, (header, rows) in plots.items():
-            _write_plot_csv(out / fname, header, rows)
+            _write_csv(out / fname, header, rows)
         verdicts[sid] = report["verdict"]
         print(f"{sid:24s} {report['verdict']}")
     # a suite that raised has no verdict; a run with one must not read PASS
@@ -1127,8 +1040,9 @@ _COMPUTE_OPTIONS = {
 def _check_compute_options(args) -> None:
     """Refuse an option that the requested kind would silently ignore."""
     kind = args.kind
-    for name in ("order", "p", "tau", "points_per_axis", "cells", "window_support", "window_plateau"):
-        if getattr(args, name) is not None and name not in _COMPUTE_OPTIONS[kind]:
+    options = {name for names in _COMPUTE_OPTIONS.values() for name in names}
+    for name, value in vars(args).items():  # in the order the options are declared
+        if name in options and value is not None and name not in _COMPUTE_OPTIONS[kind]:
             raise _UsageError(f"--{name.replace('_', '-')} does not apply to compute {kind}")
     if args.points_per_axis is not None and args.cells is not None:
         raise _UsageError("--points-per-axis does not apply with --cells: the lattice scheme has no translation grid")
@@ -1227,8 +1141,15 @@ def _read_report(path: Path) -> dict | None:
         raise _UsageError(f"malformed report JSON in {path} at byte {exc.pos}: {exc.msg}")
     if not isinstance(payload, dict) or "cases" not in payload:
         return None
-    if not (isinstance(payload["cases"], list) and all(isinstance(c, dict) for c in payload["cases"])):
+    cases = payload["cases"]
+    if not (isinstance(cases, list) and all(isinstance(c, dict) for c in cases)):
         raise _UsageError(f"{path}: 'cases' must be a list of objects")
+    # the table pads these as text and counts the verdicts by name
+    texts = [("'suite'", payload.get("suite", "")), ("'verdict'", payload.get("verdict", ""))]
+    texts += [(f"case {i} 'verdict'", case.get("verdict", "")) for i, case in enumerate(cases)]
+    for what, value in texts:
+        if not isinstance(value, str):
+            raise _UsageError(f"{path}: {what} must be a string, got {value!r}")
     return payload
 
 
@@ -1265,7 +1186,7 @@ def cmd_report(args) -> int:
             print(f"  - {case.get('verdict', '?'):12s} {case.get('label', '')}{detail}")
     if args.csv:
         cases = [{"suite": r.get("suite", "?"), **case} for r in reports for case in r.get("cases", [])]
-        _write_cases_csv(Path(args.csv), cases)
+        _write_csv(Path(args.csv), *_case_table(cases))
     # A verdict string this version does not know is shown but does not count.
     return 1 if _aggregate([v for v in verdicts if v in _SEVERITY]) == FAIL else 0
 
@@ -1278,9 +1199,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="evaluate one norm on a stored field")
-    p_compute.add_argument(
-        "kind", choices=["l2", "sup", "h-norm", "kato-norm", "sw-norm", "schatten"]
-    )
+    p_compute.add_argument("kind", choices=list(_COMPUTE_OPTIONS))
     p_compute.add_argument("--field", required=True, help="path to a stored field (FLD1)")
     p_compute.add_argument("--order", help="comma-separated order, one value per block or a single value")
     p_compute.add_argument("--p", help="integrability exponent, number or 'inf' (default 2)")
@@ -1307,10 +1226,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KatokitError as exc:
+    except (_UsageError, KatokitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

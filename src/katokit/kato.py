@@ -572,7 +572,7 @@ def mollifier_rate_check(
     order_sp: MultiOrder,
     moll: Mollifier,
     epsilons: Sequence[float],
-    window: Window | None = None,
+    window: Window,
 ) -> MollifierRateReport:
     """Approximation rate and stability of mollification.
 
@@ -593,10 +593,8 @@ def mollifier_rate_check(
     errors: list[float] = []
     bounds: list[float] = []
     young_ok = True
-    sup_spec = None
-    if window is not None:
-        sup_spec = amalgam_spec(order_s, math.inf, window, ContinuousScheme())
-        u_ul = kato_norm(field, sup_spec)
+    sup_spec = amalgam_spec(order_s, math.inf, window, ContinuousScheme())
+    u_ul = kato_norm(field, sup_spec)
     for eps in epsilons:
         m = rescaled(moll, float(eps))
         smoothed = mollify(field, m)
@@ -605,11 +603,10 @@ def mollifier_rate_check(
         bound = 2.0 ** (1.0 - theta) * float(eps) ** theta * base
         errors.append(err)
         bounds.append(bound)
-        if sup_spec is not None:
-            kernel_mass = field.spec.cell_volume * float(np.sum(mollifier_kernel(m).samples.real))
-            lhs = kato_norm(smoothed, sup_spec)
-            if lhs > kernel_mass * u_ul * (1.0 + 1e-10):
-                young_ok = False
+        kernel_mass = field.spec.cell_volume * float(np.sum(mollifier_kernel(m).samples.real))
+        lhs = kato_norm(smoothed, sup_spec)
+        if lhs > kernel_mass * u_ul * (1.0 + 1e-10):
+            young_ok = False
     bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(errors, bounds))
     logs_e = np.log(np.asarray(errors))
     logs_x = np.log(np.asarray([float(e) for e in epsilons]))

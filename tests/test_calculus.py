@@ -672,6 +672,25 @@ def test_witness_refused_on_the_range():
     assert report.delta_inf < 1e-6
 
 
+@pytest.mark.parametrize(
+    "nan_at, lam, named",
+    [
+        (3, [2.0], r"fields\[0\]: 1 non-finite sample\(s\), the first at flat index 3"),
+        (None, [complex(2.0, math.nan)], r"lam\[0\] = \(2\+nanj\) is not finite"),
+    ],
+    ids=["sample", "lambda"],
+)
+def test_witness_refuses_non_finite_input_naming_it(nan_at, lam, named):
+    # a NaN sample used to pass the range test and be refused by the inner
+    # invert as `u`, which is not a parameter of the witness
+    spec = make_grid(1, N)
+    samples = np.cos(np.asarray(coordinate_axes(spec)[0])).astype(np.complex128)
+    if nan_at is not None:
+        samples[nan_at] = math.nan
+    with pytest.raises(NonFiniteError, match=rf"^{named}"):
+        joint_spectrum_witness([field_from_values(spec, samples)], lam)
+
+
 def test_witness_pair_off_the_joint_range():
     spec = make_grid(1, N)
     x = np.asarray(coordinate_axes(spec)[0])

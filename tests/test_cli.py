@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -429,25 +430,27 @@ def test_no_suite_short_circuits_over_library_calls():
     assert _short_circuit_calls(ast.parse(Path(cli.__file__).read_text())) == []
 
 
-def test_suite_keywords_are_its_default_options():
-    keywords = {}
-    for sid, (run, _, defaults) in cli._SUITES.items():
-        params = inspect.signature(run).parameters
-        assert list(params)[0] == "seed", sid
-        assert all(cli._fits(value, value) for value in defaults.values()), sid
-        keywords[sid] = {name for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
-    assert keywords == {sid: set(defaults) for sid, (_, _, defaults) in cli._SUITES.items()}
+def test_each_suite_function_is_registered_once_with_typed_defaults():
+    # a suite's id, claim, options and defaults are declared once, on its
+    # function: every option is a keyword with a default of its own type
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = sorted(fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_suite_"))
+    assert sorted(run.__name__ for run, _ in cli._SUITES.values()) == names
+    for sid, (run, _) in cli._SUITES.items():
+        seed, *options = inspect.signature(run).parameters.values()
+        assert seed.name == "seed", sid
+        assert options and all(p.kind is p.KEYWORD_ONLY and p.default is not p.empty for p in options), sid
+        assert all(cli._typed(p.default, p.default) is not None for p in options), sid
 
 
 def test_suite_options_arrive_as_their_defaults_types(tmp_path, monkeypatch):
     seen = {}
 
-    def spy(seed, **options):
-        seen.update(options)
+    def spy(seed, *, ratio=0.5, p_values=[1.0, "inf"], bracket=(0.02, 50.0), pairs=[(2.0, 1.0)], count=3):
+        seen.update(ratio=ratio, p_values=p_values, bracket=bracket, pairs=pairs, count=count)
         return [cli._case("spy", cli.PASS)], {}
 
-    defaults = {"ratio": 0.5, "p_values": [1.0, "inf"], "bracket": (0.02, 50.0), "pairs": [(2.0, 1.0)], "count": 3}
-    monkeypatch.setattr(cli, "_SUITES", {"spy": (spy, "options arrive typed", defaults)})
+    monkeypatch.setattr(cli, "_SUITES", {"spy": (spy, "options arrive typed")})
     overrides = {"ratio": 1, "p_values": [2, "Infinity"], "bracket": [1, 2], "pairs": [[3, 1.5]]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"suites": {"spy": overrides}}))
@@ -466,6 +469,16 @@ def test_config_accepts_integers_for_numbers_and_inf_for_p(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 0, "suites": overrides}))
     assert cli._load_config(str(cfg))["suites"] == overrides
+
+
+def test_readme_lists_every_suite_and_a_config_that_loads(tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"Available suites: (.*?)\.\n", text, re.S).group(1)
+    assert re.findall(r"`([a-z0-9-]+)`", listed) == list(cli._SUITES)
+    example = re.search(r"The optional config file is JSON of the form\n\n```json\n(.*?)```", text, re.S).group(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    assert cli._load_config(str(cfg))["suites"]
 
 
 @pytest.mark.parametrize("seed", ["abc", 1.5, -1, True, None])
@@ -607,6 +620,24 @@ def test_report_refuses_a_file_without_a_suite_report(tmp_path, capsys, payload)
     bad.write_text(json.dumps(payload))
     assert main(["report", str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, named",
+    [
+        ({"suite": 5, "cases": []}, "'suite' must be a string, got 5"),
+        ({"suite": "x", "cases": [{"label": "a", "verdict": 3}]}, "case 0 'verdict' must be a string, got 3"),
+        ({"suite": "x", "verdict": ["PASS"], "cases": []}, "'verdict' must be a string, got ['PASS']"),
+    ],
+    ids=["suite-number", "case-verdict-number", "verdict-list"],
+)
+def test_report_refuses_a_name_or_verdict_that_is_not_text(tmp_path, capsys, payload, named):
+    # the table pads these as text and counts verdicts by name: each ended
+    # in a traceback with exit 1
+    bad = tmp_path / "odd.json"
+    bad.write_text(json.dumps(payload))
+    assert main(["report", str(bad)]) == 2
+    assert f"{bad}: {named}" in capsys.readouterr().err
 
 
 def test_report_refuses_a_directory_holding_a_malformed_report(tmp_path, capsys):

@@ -663,7 +663,7 @@ def test_rate_equal_orders_bound_is_twice_the_norm():
     order = multi_order(1.0, (1,))
     u = rng_field(spec, 150)
     moll = make_mollifier(spec)
-    report = mollifier_rate_check(u, order, order, moll, [0.4, 0.2, 0.1])
+    report = mollifier_rate_check(u, order, order, moll, [0.4, 0.2, 0.1], window=default_window(spec))
     assert report.bound_ok
     base = h_norm(u, order)
     for b in report.bounds:
@@ -677,7 +677,7 @@ def test_rate_single_mode_closed_form():
     u = plane_wave(spec, 3)
     moll = make_mollifier(spec)
     epsilons = [0.4, 0.2, 0.1]
-    report = mollifier_rate_check(u, s, sp, moll, epsilons)
+    report = mollifier_rate_check(u, s, sp, moll, epsilons, window=default_window(spec))
     assert report.bound_ok
     x = np.asarray(coordinate_axes(spec)[0])
     from katokit.grid import rescaled
@@ -724,6 +724,7 @@ def test_rate_refuses_fewer_than_two_distinct_epsilons(epsilons):
             multi_order(1.0, (1,)),
             make_mollifier(spec),
             epsilons,
+            window=default_window(spec),
         )
 
 
@@ -737,4 +738,5 @@ def test_rate_requires_order_domination():
             multi_order(1.0, (1,)),
             moll,
             [0.2],
+            window=default_window(spec),
         )
