@@ -40,6 +40,7 @@ from .errors import (
     ShapeError,
 )
 from .grid import (
+    MOLLIFIER_RADIUS,
     Field,
     Window,
     l2_norm,
@@ -399,10 +400,9 @@ def range_diameter(fields: Sequence[Field]) -> float:
 # proxy v that lies within r of u they stay inside the domain (4r is half
 # the distance), and the poles zeta = u - v lie inside them.  Smoothing
 # starts at epsilon 0.4 and halves, at most 16 times, until v lies within
-# r of u.  The smoothing kernel's support radius at epsilon 1 must lie below
-# the grid's half period.
+# r of u.  The smoothing kernel's support radius at epsilon 1,
+# MOLLIFIER_RADIUS, must lie below the grid's half period.
 _RADIUS_FACTOR = 0.125
-_MOLLIFIER_RADIUS = 1.0
 _CONTOUR_RADIUS_IN_R = 3.0
 _EPS_START = 0.4
 _MAX_HALVINGS = 16
@@ -641,17 +641,17 @@ def calderon_apply(
     if not r > 0.0:
         raise ContourConfigError(f"margin radius must be positive, got r={r}")
 
-    if not _MOLLIFIER_RADIUS < 0.5 * spec.period:
+    if not MOLLIFIER_RADIUS < 0.5 * spec.period:
         raise ContourConfigError(
-            f"the mollifier radius {_MOLLIFIER_RADIUS:g} must lie below the grid's half period "
+            f"the mollifier radius {MOLLIFIER_RADIUS:g} must lie below the grid's half period "
             f"{0.5 * spec.period:.6g} to smooth the contour's proxy"
         )
-    eps_floor = min_resolvable_epsilon(spec, _MOLLIFIER_RADIUS)
+    eps_floor = min_resolvable_epsilon(spec)
     if eps_floor > 1.0:
         raise MarginError(
             f"grid too coarse to mollify: the resolvable epsilon floor is {eps_floor:.3g} > 1"
         )
-    base = make_mollifier(spec, 1.0, _MOLLIFIER_RADIUS)
+    base = make_mollifier(spec)
     eps = max(_EPS_START, eps_floor)
     halvings = 0
     margin = math.inf
@@ -917,8 +917,8 @@ def composite_continuity_check(
     range_distance(fields, fn.domain)
     spec = fields[0].spec
     values = _stack_values(fields)
-    base = make_mollifier(spec, 1.0, 1.0)
-    floor = min_resolvable_epsilon(spec, base.radius)
+    base = make_mollifier(spec)
+    floor = min_resolvable_epsilon(spec)
     requested = sorted((float(e) for e in epsilons), reverse=True)
     eps_sorted = [e for e in requested if e >= floor]
     dropped = tuple(e for e in requested if e < floor)

@@ -19,12 +19,13 @@ Three subcommands:
     optional CSV export of all cases.
 
 Exit codes: 0 when every case is PASS or INCONCLUSIVE, 1 when any case
-FAILs, 2 for usage errors, malformed configuration, or configurations that
-violate a hypothesis of the requested check.  ``verify`` runs the suites in
-order and writes each suite's files as soon as it finishes; a suite that
-raises a ``KatokitError`` is named under ``errors`` in ``summary.json``,
-the remaining suites still run, the overall verdict is FAIL and the exit
-code is 2.
+FAILs, 2 for usage errors, malformed configuration, configurations that
+violate a hypothesis of the requested check, or a file that cannot be
+read or written.  ``verify`` runs the suites in order and writes each
+suite's files as soon as it finishes; a suite that raises a
+``KatokitError`` is named under ``errors`` in ``summary.json``, the
+remaining suites still run, the overall verdict is FAIL and the exit code
+is 2.
 
 Reports are byte-reproducible for a fixed seed and configuration except
 for the ``environment`` key.
@@ -1226,7 +1227,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (_UsageError, KatokitError) as exc:
+    except (_UsageError, KatokitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,6 +34,7 @@ from .errors import FieldFormatError, GridError, NonFiniteError, ResolutionError
 
 __all__ = [
     "DEFAULT_PERIOD",
+    "MOLLIFIER_RADIUS",
     "GridSpec",
     "Field",
     "Window",
@@ -70,6 +71,7 @@ __all__ = [
 ]
 
 DEFAULT_PERIOD = 2.0 * math.pi
+MOLLIFIER_RADIUS = 1.0  # support radius of every mollifier kernel at epsilon 1
 
 _MAGIC = b"FLD1"
 _FORMAT_VERSION = 1
@@ -280,6 +282,15 @@ def lattice_shifts(spec: GridSpec, per_axis: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _lattice_fold(samples: np.ndarray, per_axis: int) -> np.ndarray:
+    """sum_gamma tau_gamma f over the `lattice_shifts` sub-lattice, on the one
+    cell where it takes all its values, shape (N / per_axis,) * ndim: a
+    reshape-sum of the cells of f.  `per_axis` must divide N."""
+    cell = samples.shape[0] // per_axis
+    blocks = samples.reshape((per_axis, cell) * samples.ndim)
+    return blocks.sum(axis=tuple(range(0, 2 * samples.ndim, 2)))
+
+
 def tile_translates(samples: np.ndarray) -> np.ndarray:
     """Every N^n window of `samples` tiled to (2N)^n, as a read-only view:
     the one array `gather_translates` takes the translates of `samples` from."""
@@ -462,34 +473,25 @@ def window_from_samples(field: Field) -> Window:
 # mollifiers
 
 
-def _wrapped_displacement_mesh(spec: GridSpec) -> np.ndarray:
-    """Displacement from 0 reduced per axis to [-L/2, L/2), shape (dim, ...)."""
-    coords = coordinate_axes(spec)
-    half = 0.5 * spec.period
-    axes = [np.mod(c + half, spec.period) - half for c in coords]
-    return np.stack(np.meshgrid(*axes, indexing="ij"))
-
-
 @dataclass(frozen=True, eq=False)
 class Mollifier:
-    """Radial smooth kernel of unit discrete mass, support radius `radius`.
+    """Radial smooth kernel of unit discrete mass, support radius epsilon * MOLLIFIER_RADIUS.
 
-    `epsilon` in (0, 1] shrinks the support to epsilon * radius, which must
-    span at least _MIN_KERNEL_SAMPLES samples (ResolutionError otherwise);
-    `radius` lies in (0, L/2).  The kernel is evaluated analytically by
-    `mollifier_kernel` and renormalized so its discrete integral is exactly 1.
+    `epsilon` lies in (0, 1]; the support must span at least
+    _MIN_KERNEL_SAMPLES samples (ResolutionError otherwise) and fit in half
+    a period.  The kernel is evaluated analytically by `mollifier_kernel`
+    and renormalized so its discrete integral is exactly 1.
     """
 
     spec: GridSpec
     epsilon: float
-    radius: float
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
             raise GridError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not (0.0 < self.radius < 0.5 * self.spec.period):
-            raise GridError(f"radius must lie in (0, period/2), got {self.radius}")
-        across = 2.0 * (self.epsilon * self.radius) / self.spec.spacing
+        if not MOLLIFIER_RADIUS < 0.5 * self.spec.period:
+            raise GridError(f"the mollifier radius {MOLLIFIER_RADIUS:g} needs a period above {2 * MOLLIFIER_RADIUS:g}")
+        across = 2.0 * (self.epsilon * MOLLIFIER_RADIUS) / self.spec.spacing
         if across < _MIN_KERNEL_SAMPLES:
             raise ResolutionError(
                 f"mollifier support spans {across:.2f} samples, fewer than the "
@@ -497,33 +499,30 @@ class Mollifier:
             )
 
 
-def _radial_kernel_samples(spec: GridSpec, support_radius: float) -> np.ndarray:
-    disp = _wrapped_displacement_mesh(spec)
-    r = np.sqrt(np.sum(disp**2, axis=0)) / support_radius
-    vals = _canonical_profile(r)
-    mass = spec.cell_volume * float(np.sum(vals))
-    if mass <= 0.0:
-        raise ResolutionError("mollifier kernel has no mass on this grid; refine the grid")
-    return vals / mass
+def make_mollifier(spec: GridSpec, epsilon: float = 1.0) -> Mollifier:
+    return Mollifier(spec, float(epsilon))
 
 
-def make_mollifier(spec: GridSpec, epsilon: float = 1.0, radius: float = 1.0) -> Mollifier:
-    return Mollifier(spec, float(epsilon), float(radius))
-
-
-def min_resolvable_epsilon(spec: GridSpec, radius: float = 1.0) -> float:
+def min_resolvable_epsilon(spec: GridSpec) -> float:
     """Smallest epsilon whose scaled kernel still covers enough samples."""
-    return 0.5 * _MIN_KERNEL_SAMPLES * spec.spacing / radius
+    return 0.5 * _MIN_KERNEL_SAMPLES * spec.spacing / MOLLIFIER_RADIUS
 
 
 def rescaled(moll: Mollifier, epsilon: float) -> Mollifier:
     """Same kernel family at a different epsilon."""
-    return Mollifier(moll.spec, float(epsilon), moll.radius)
+    return Mollifier(moll.spec, float(epsilon))
 
 
 def mollifier_kernel(moll: Mollifier) -> Field:
-    """Scaled kernel phi_eps = eps^{-n} phi(./eps), renormalized to mass 1."""
-    return Field(moll.spec, _radial_kernel_samples(moll.spec, moll.epsilon * moll.radius))
+    """Scaled kernel phi_eps = eps^{-n} phi(./eps), renormalized to mass 1
+    (positive: the sample at 0 holds the kernel's peak, 1)."""
+    spec = moll.spec
+    half = 0.5 * spec.period
+    # displacement from 0, reduced per axis to [-L/2, L/2)
+    axes = [np.mod(c + half, spec.period) - half for c in coordinate_axes(spec)]
+    disp = np.stack(np.meshgrid(*axes, indexing="ij"))
+    vals = _canonical_profile(np.sqrt(np.sum(disp**2, axis=0)) / (moll.epsilon * MOLLIFIER_RADIUS))
+    return Field(spec, vals / (spec.cell_volume * float(np.sum(vals))))
 
 
 def mollify(field: Field, moll: Mollifier) -> Field:

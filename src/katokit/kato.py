@@ -15,15 +15,11 @@ each translate u . tau_y chi: G FFTs of N^n points for G shifts, in
 blocks of about _BLOCK_ELEMENTS coefficients.  With a tensor-product
 window consecutive translates that share a leading shift share the
 transform over the leading axes, and each translate is left with a
-transform along the last axis only (`windowed_spectra`).  The leading
-spectrum is carried across blocks, so each run of equal leading shifts
-pays for one leading stage however many blocks it spans.  On a 2-core
-Xeon VM a 2-D N=64 p = inf norm over the full grid takes about 81 ms,
-and 2-D N=256 over 16^2 shifts or 3-D N=32 over 8^3 about 110-115 ms,
-against 135, 165 and 200 ms for the same samples without factors (one
-n-D transform per shift); that VM drifts up to 2x between sessions.  At p = 2
-on the full translation grid (every sample shift, G = N^n) the sum over y
-closes in frequency space,
+transform along the last axis only (`windowed_spectra`), in place of one
+n-D transform per shift.  The leading spectrum is carried across blocks,
+so each run of equal leading shifts pays for one leading stage however
+many blocks it spans.  At p = 2 on the full translation grid (every
+sample shift, G = N^n) the sum over y closes in frequency space,
 
     sum_y |c_k(u . tau_y chi)|^2 = N^n sum_j |u_{k-j}|^2 |chi_j|^2,
 
@@ -49,6 +45,7 @@ from .grid import (
     Mollifier,
     Window,
     _along,
+    _lattice_fold,
     axis_bump_values,
     coordinate_axes,
     gather_translates,
@@ -61,7 +58,7 @@ from .grid import (
     window_from_factors,
     window_from_samples,
 )
-from .sobolev import PartitionOfUnity, _schur_constant, h_norm, weight_mesh
+from .sobolev import PartitionOfUnity, _lattice_pieces, _schur_constant, h_norm, weight_mesh
 from .weights import MultiOrder, SigmaParams
 
 __all__ = [
@@ -125,26 +122,16 @@ def amalgam_spec(
     scheme: ContinuousScheme | LatticeScheme | None = None,
 ) -> AmalgamNormSpec:
     """Validated constructor; lattice schemes must have strictly positive
-    window coverage Psi = sum_gamma |tau_gamma chi|^2 on every sample."""
+    window coverage Psi = sum_gamma |tau_gamma chi|^2 on every sample,
+    checked on one cell, where `_lattice_fold` sums |chi|^2 over Gamma."""
     scheme = scheme or ContinuousScheme()
     spec = AmalgamNormSpec(order, float(p), window, scheme)
     if isinstance(scheme, LatticeScheme):
-        psi = lattice_coverage(window, scheme.cells_per_axis)
+        lattice_shifts(window.spec, scheme.cells_per_axis)  # refuses a count that does not divide N
+        psi = _lattice_fold(np.abs(window.field.samples) ** 2, scheme.cells_per_axis)
         if float(np.min(psi)) <= 0.0:
-            raise HypothesisError(
-                "window coverage sum_gamma |tau_gamma chi|^2 vanishes somewhere on the torus"
-            )
+            raise HypothesisError("window coverage sum_gamma |tau_gamma chi|^2 vanishes somewhere on the torus")
     return spec
-
-
-def lattice_coverage(window: Window, cells_per_axis: int) -> np.ndarray:
-    """Psi = sum_gamma |tau_gamma chi|^2, from |chi|^2 rolled once per lattice shift."""
-    spec = window.spec
-    power = np.abs(window.field.samples) ** 2
-    psi = np.zeros(spec.shape, dtype=float)
-    for y in lattice_shifts(spec, cells_per_axis):
-        psi += translates(power, y)
-    return psi
 
 
 def translation_shifts(
@@ -382,6 +369,8 @@ def window_ratio_check(
     Window independence of the space means these ratios stay in a fixed
     bracket; the report records the empirical spread.
     """
+    if not fields:
+        raise HypothesisError("fields must hold at least one field")
     spec_a = amalgam_spec(order, p, window)
     spec_b = amalgam_spec(order, p, other)
     ratios = []
@@ -465,6 +454,8 @@ def kato_product_check(
         r = 1.0 / (1.0 / p + 1.0 / q)
     if r < 1.0:
         raise HypothesisError(f"exponents p={p}, q={q} give r={r} < 1")
+    if not pairs:
+        raise HypothesisError("pairs must hold at least one pair of fields")
     chi_sq = window_from_samples(Field(window.spec, window.field.samples**2))
     spec_u = amalgam_spec(params.s, p, window)
     spec_v = amalgam_spec(params.t, q, window)
@@ -528,19 +519,16 @@ def retraction_roundtrip(
     sum_k (tau_k chi) u_k with chi = 1 near supp h, so chi h = h and the
     composition telescopes through sum_k tau_k h = 1.
     """
-    if field.spec != partition.spec:
-        raise ShapeError("field and partition must share a grid")
+    pieces = _lattice_pieces(field, partition)
     chi = make_retraction_window(partition)
     spec = field.spec
     assembled = np.zeros(spec.shape, dtype=np.complex128)
     norms_p: list[float] = []
-    for y in lattice_shifts(spec, partition.cells_per_axis):
-        piece = translates(partition.master.field.samples, y) * field.samples
+    for y, piece in pieces:
         assembled += translates(chi.field.samples, y) * piece
         norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
-    arr = np.asarray(norms_p)
-    section = float(np.sum(arr**2.0) ** 0.5)
+    section = float(np.sum(np.asarray(norms_p) ** 2.0) ** 0.5)
     reference = h_norm(field, order)
     scale = max(float(np.max(np.abs(field.samples))), 1e-300)
     return RetractionReport(

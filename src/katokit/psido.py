@@ -300,6 +300,8 @@ def sw_embedding_check(
     ||u||_{s,p,chi~}) over an ensemble; requires s_l > n_l per block so the
     weight is integrable, and chi~ = 1 on supp chi.
     """
+    if not fields:
+        raise HypothesisError("fields must hold at least one field")
     spec = fields[0].spec
     if order.blocks != spec.blocks:
         raise ShapeError("order blocks must match the grid blocks")
@@ -351,6 +353,8 @@ def dilation_ratio_check(
     """
     if factor < 1:
         raise HypothesisError(f"dilation factor must be >= 1, got {factor}")
+    if not fields:
+        raise HypothesisError("fields must hold at least one field")
     spec = fields[0].spec
     n = spec.dim
     det = float(factor**n)
@@ -503,6 +507,8 @@ def schatten_bound_check(
     Requires s_l > dim V_l on every block (the boundedness hypothesis);
     violating orders are refused rather than measured.
     """
+    if not symbols:
+        raise HypothesisError("symbols must hold at least one symbol")
     ratios = []
     for sym in symbols:
         for s_l, n_l in zip(sym.order.s, sym.order.blocks):

@@ -28,6 +28,7 @@ from .grid import (
     GridSpec,
     Window,
     _along,
+    _lattice_fold,
     axis_bump_values,
     coordinate_axes,
     frequency_axes,
@@ -240,6 +241,15 @@ def product_bound_check(
 _EXACTNESS_TOL = 1e-10
 
 
+def _lattice_cells(spec: GridSpec, cells_per_axis: int) -> tuple[np.ndarray, int]:
+    """The lattice shifts of `cells_per_axis` cells per axis and that count,
+    which must be a divisor of N (ShapeError) of at least 2 (HypothesisError)."""
+    shifts = lattice_shifts(spec, cells_per_axis)
+    if cells_per_axis < 2:
+        raise HypothesisError("need at least 2 lattice cells per axis")
+    return shifts, int(cells_per_axis)
+
+
 @dataclass(frozen=True)
 class TwistedPeriodizationReport:
     field: Field
@@ -266,11 +276,8 @@ def twisted_periodization(
     tau_{lg} phi is one roll of the window's samples.
     """
     spec = window.spec
-    shifts = lattice_shifts(spec, cells_per_axis)  # refuses a count that is not an integer
-    lam = int(cells_per_axis)
+    shifts, lam = _lattice_cells(spec, cells_per_axis)
     n_samp = spec.samples_per_axis
-    if lam < 2:
-        raise HypothesisError("need at least 2 lattice cells per axis")
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta_arr.shape != (spec.dim,):
         raise ShapeError(f"theta must have length {spec.dim}")
@@ -351,13 +358,11 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4) -> PartitionOfUnity
     """Construct the shifted-bump partition of unity on the lattice cells.
 
     Every n-D sum of the construction is a product of its 1-D sums, so the
-    covering, sum-to-one and master periodization checks run on one axis.
+    covering and master periodization checks run on one axis.  The pieces
+    sum to 1 by construction: the denominator is the sum of their numerators.
     """
-    lattice_shifts(spec, cells_per_axis)  # refuses a count that is not an integer
-    lam = int(cells_per_axis)
+    _, lam = _lattice_cells(spec, cells_per_axis)
     n_samp = spec.samples_per_axis
-    if lam < 2:
-        raise HypothesisError("need at least 2 lattice cells per axis")
     if n_samp // lam < _MIN_SAMPLES_PER_CELL:
         raise PartitionError(
             f"{n_samp // lam} samples per lattice cell; need at least {_MIN_SAMPLES_PER_CELL} "
@@ -366,38 +371,39 @@ def build_partition(spec: GridSpec, cells_per_axis: int = 4) -> PartitionOfUnity
 
     t = coordinate_axes(spec)[0] / (spec.period / lam)  # cell coordinates in [0, Lambda)
 
-    # The periodization of each shifted bump, and their sum: the denominator.
+    # The denominator: the periodizations of the shifted bumps, summed.
     denom = np.zeros_like(t)
-    periodized = []
     for shift in _SHIFTS_1D:
-        acc = np.zeros_like(t)
         for gamma in range(-2, lam + 2):
-            bump = _axis_master_profile(t - gamma - shift)
-            denom += bump
-            acc += bump
-        periodized.append(acc)
+            denom += _axis_master_profile(t - gamma - shift)
     if float(np.min(denom)) < 1.0 - 1e-12:
         raise PartitionError("shifted periodization dipped below 1; covering property failed")
 
-    total = np.zeros_like(t)
     master_1d = np.zeros_like(t)
-    for shift, acc in zip(_SHIFTS_1D, periodized):
-        total += acc / denom
+    for shift in _SHIFTS_1D:
         # Support wrapped onto the torus around cell coordinate shift + 1/2.
         disp = np.mod(t - (shift + 0.5) + 0.5 * lam, lam) - 0.5 * lam
         master_1d += _axis_master_profile(disp + 0.5) / denom
-    if float(np.max(np.abs(total - 1.0))) > _EXACTNESS_TOL:
-        raise PartitionError("periodized pieces do not sum to 1 within tolerance")
     master = window_from_factors(spec, (master_1d,) * spec.dim)
 
     # The n-D periodization is the outer product of the 1-D periodization p
     # of the (nonnegative) factor, so it spans [min p^n, max p^n].
-    period_1d = master.axis_factors[0].reshape(lam, n_samp // lam).sum(axis=0)
+    period_1d = _lattice_fold(master.axis_factors[0], lam)
     lowest, highest = float(np.min(period_1d)) ** spec.dim, float(np.max(period_1d)) ** spec.dim
     if max(highest - 1.0, 1.0 - lowest) > _EXACTNESS_TOL:
         raise PartitionError("master bump lattice periodization is not 1 within tolerance")
 
     return PartitionOfUnity(spec=spec, cells_per_axis=lam, master=master)
+
+
+def _lattice_pieces(field: Field, partition: PartitionOfUnity):
+    """The pieces (tau_y h) u of u, with their lattice shifts y, in
+    `lattice_shifts` order: pairs (y, samples), one piece at a time."""
+    if field.spec != partition.spec:
+        raise ShapeError("field and partition must share a grid")
+    master = partition.master.field.samples
+    shifts = lattice_shifts(field.spec, partition.cells_per_axis)
+    return ((y, translates(master, y) * field.samples) for y in shifts)
 
 
 def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order: MultiOrder) -> float:
@@ -406,13 +412,11 @@ def lattice_decomposition_ratio(field: Field, partition: PartitionOfUnity, order
     Finite on both sides because the master bump h has lattice periodization
     1, so the pieces (tau_gamma h) u reassemble u exactly.
     """
-    if field.spec != partition.spec:
-        raise ShapeError("field and partition must share a grid")
+    pieces = _lattice_pieces(field, partition)
     base = h_norm(field, order)
     total = 0.0
-    for y in lattice_shifts(field.spec, partition.cells_per_axis):
-        piece = translates(partition.master.field.samples, y)
-        total += h_norm(Field(field.spec, piece * field.samples), order) ** 2
+    for _, piece in pieces:
+        total += h_norm(Field(field.spec, piece), order) ** 2
     return math.sqrt(total) / max(base, 1e-300)
 
 

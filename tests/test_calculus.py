@@ -651,6 +651,34 @@ def test_partial_consistency_of_builtin_partials():
     assert report.passed and not report.skipped
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        holo_reciprocal(0.5),
+        HoloFn(
+            1,
+            lambda z: 1.0 / (z[0] - 2.0),
+            (GenericDomain(lambda z: np.abs(z - 2.0) > 0.5, reach=8.0),),
+            (lambda z: -1.0 / (z[0] - 2.0) ** 2,),
+        ),
+    ],
+    ids=["disc_complement", "generic_domain"],
+)
+def test_partial_consistency_samples_inside_a_domain_with_a_hole(fn):
+    # the points come from the domain factor (a disc complement, or a
+    # predicate): a partial that refuses any point outside it still passes,
+    # and one of the wrong sign fails
+    dom, partial = fn.domain[0], fn.partials[0]
+
+    def inside_only(z):
+        assert np.all(dom.contains(z[0]))
+        return partial(z)
+
+    report = check_partial_consistency(dataclasses.replace(fn, partials=(inside_only,)))
+    assert report.passed and not report.skipped and report.points > 0
+    assert not check_partial_consistency(dataclasses.replace(fn, partials=(lambda z: -partial(z),))).passed
+
+
 # ---------------------------------------------------------------------------
 # joint spectrum witnesses
 

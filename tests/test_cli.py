@@ -655,6 +655,26 @@ def test_usage_error_is_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["compute", "l2", "--field", "{tmp}/nope.fld"],
+        ["compute", "l2", "--field", "{tmp}"],
+        ["compute", "l2", "--field", "{field}", "--json", "{tmp}/no-such-dir/value.json"],
+        ["report", "{tmp}/rep", "--csv", "{tmp}/no-such-dir/cases.csv"],
+    ],
+    ids=["missing-field", "field-is-a-directory", "json-not-writable", "csv-not-writable"],
+)
+def test_file_that_cannot_be_read_or_written_is_exit_two(tmp_path, constant_path, capsys, args):
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    (rep / "s.json").write_text(json.dumps({"suite": "s", "verdict": "PASS", "cases": [{"label": "a", "verdict": "PASS"}]}))
+    argv = [a.format(tmp=tmp_path, field=constant_path) for a in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_import_does_not_load_scipy():
     # numpy is the one runtime dependency: importing every katokit module (as
     # test_exports enumerates them) and running the quadrature cross-check

@@ -367,7 +367,7 @@ def test_mollification_error_decreases_with_epsilon():
 
 def test_mollifier_rejects_unresolvable_epsilon():
     spec = make_grid(1, 32)
-    moll = make_mollifier(spec, epsilon=1.0, radius=1.0)
+    moll = make_mollifier(spec, epsilon=1.0)
     with pytest.raises(ResolutionError):
         rescaled(moll, 1e-3)
 
@@ -375,7 +375,7 @@ def test_mollifier_rejects_unresolvable_epsilon():
 def test_mollifier_refuses_unresolvable_support_when_built():
     # 0.01 of radius 1 spans 0.10 samples of a 32-point grid
     with pytest.raises(ResolutionError, match="spans 0.10 samples"):
-        Mollifier(make_grid(1, 32), 0.01, 1.0)
+        Mollifier(make_grid(1, 32), 0.01)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, -np.inf)])

@@ -609,8 +609,22 @@ def test_product_random_pairs_under_reference_constant():
 def test_product_rejects_bad_exponents():
     spec = make_grid(1, 128)
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
-    with pytest.raises(HypothesisError):
-        kato_product_check([], params, 1.0, 1.0, default_window(spec))  # r = 1/2
+    with pytest.raises(HypothesisError, match=r"give r=0\.5 < 1"):
+        kato_product_check([], params, 1.0, 1.0, default_window(spec))
+
+
+@pytest.mark.parametrize("p, q, r", [(math.inf, 3.0, 3.0), (1.5, math.inf, 1.5), (math.inf, math.inf, math.inf)])
+def test_product_with_an_infinite_exponent_pairs_the_other(p, q, r):
+    # 1/r = 1/p + 1/q with 1/inf = 0: r = q, r = p, or r = inf; each ratio
+    # is the product norm at r over the factor norms at p and q
+    spec = make_grid(1, 64)
+    params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
+    chi = default_window(spec)
+    u, v = rng_field(spec, 140), rng_field(spec, 141)
+    chi_sq = window_from_samples(Field(spec, chi.field.samples**2))
+    num = kato_norm(Field(spec, u.samples * v.samples), amalgam_spec(params.sigma, r, chi_sq))
+    den = kato_norm(u, amalgam_spec(params.s, p, chi)) * kato_norm(v, amalgam_spec(params.t, q, chi))
+    assert kato_product_check([(u, v)], params, p, q, chi).ratios == (num / den,)
 
 
 # ---------------------------------------------------------------------------
@@ -711,6 +725,19 @@ def test_rate_slope_matches_order_gap():
         assert report.young_ok
         slopes.append(report.slope)
     assert 0.9 <= float(np.median(slopes)) <= 1.1
+
+
+def test_rate_young_gate_fails_when_smoothing_raises_the_windowed_norm(monkeypatch):
+    # the unit-mass kernel cannot raise the windowed sup norm; a kato_norm
+    # that doubles every smoothed field's norm must flip young_ok
+    spec = make_grid(1, 256)
+    order = multi_order(1.0, (1,))
+    u = rng_field(spec, 150)
+    args = (u, order, order, make_mollifier(spec), [0.4, 0.2])
+    assert mollifier_rate_check(*args, window=default_window(spec)).young_ok
+    original = kato.kato_norm
+    monkeypatch.setattr(kato, "kato_norm", lambda f, s: original(f, s) * (1.0 if f is u else 2.0))
+    assert not mollifier_rate_check(*args, window=default_window(spec)).young_ok
 
 
 @pytest.mark.parametrize("epsilons", [[0.4], [0.4, 0.4]])

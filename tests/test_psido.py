@@ -25,7 +25,7 @@ from katokit.grid import (
     make_grid,
     plane_wave,
 )
-from katokit.weights import multi_order
+from katokit.weights import multi_order, sigma_params
 from katokit import kato, psido
 from katokit.kato import ContinuousScheme, translation_shifts, windowed_spectra
 from katokit.psido import (
@@ -541,6 +541,23 @@ def test_dilation_identity_ratio():
     assert report.identity_ratio == pytest.approx(0.5)
     assert all(np.isfinite(report.ratios_volume_exponent))
     assert all(np.isfinite(report.ratios_root_exponent))
+
+
+@pytest.mark.parametrize(
+    "check, named",
+    [
+        (lambda chi: kato.window_ratio_check([], multi_order(1.0, (1,)), 2.0, chi, chi), "fields"),
+        (lambda chi: kato.kato_product_check([], sigma_params((1.0,), (1.0,), (0.5,), (1,)), 2.0, 2.0, chi), "pairs"),
+        (lambda chi: sw_embedding_check([], multi_order(1.5, (1,)), 2.0, chi, chi), "fields"),
+        (lambda chi: dilation_ratio_check([], 2.0, chi), "fields"),
+        (lambda chi: schatten_bound_check([], 1.0, 0.5, chi), "symbols"),
+    ],
+    ids=["window_ratio_check", "kato_product_check", "sw_embedding_check", "dilation_ratio_check", "schatten_bound_check"],
+)
+def test_empty_ensemble_is_refused_by_name(check, named):
+    chi = make_bump(make_grid(1, 64), [(1.0, 5.0)], [(2.0, 4.0)])
+    with pytest.raises(HypothesisError, match=f"^{named} must hold at least one"):
+        check(chi)
 
 
 # ---------------------------------------------------------------------------
