@@ -40,7 +40,6 @@ from .errors import (
     ShapeError,
 )
 from .grid import (
-    MOLLIFIER_RADIUS,
     Field,
     Window,
     l2_norm,
@@ -48,7 +47,6 @@ from .grid import (
     min_resolvable_epsilon,
     mollify,
     require_finite,
-    rescaled,
 )
 from .sobolev import h_norm, spectral_derivative
 from .weights import MultiOrder
@@ -348,6 +346,8 @@ def check_partial_consistency(fn: HoloFn, seed: int = 0) -> PartialReport:
 
 
 def _stack_values(fields: Sequence[Field]) -> np.ndarray:
+    if not fields:
+        raise ShapeError("fields must hold at least one field")
     spec = fields[0].spec
     for f in fields[1:]:
         if f.spec != spec:
@@ -400,8 +400,7 @@ def range_diameter(fields: Sequence[Field]) -> float:
 # proxy v that lies within r of u they stay inside the domain (4r is half
 # the distance), and the poles zeta = u - v lie inside them.  Smoothing
 # starts at epsilon 0.4 and halves, at most 16 times, until v lies within
-# r of u.  The smoothing kernel's support radius at epsilon 1,
-# MOLLIFIER_RADIUS, must lie below the grid's half period.
+# r of u.
 _RADIUS_FACTOR = 0.125
 _CONTOUR_RADIUS_IN_R = 3.0
 _EPS_START = 0.4
@@ -641,24 +640,16 @@ def calderon_apply(
     if not r > 0.0:
         raise ContourConfigError(f"margin radius must be positive, got r={r}")
 
-    if not MOLLIFIER_RADIUS < 0.5 * spec.period:
-        raise ContourConfigError(
-            f"the mollifier radius {MOLLIFIER_RADIUS:g} must lie below the grid's half period "
-            f"{0.5 * spec.period:.6g} to smooth the contour's proxy"
-        )
-    eps_floor = min_resolvable_epsilon(spec)
-    if eps_floor > 1.0:
-        raise MarginError(
-            f"grid too coarse to mollify: the resolvable epsilon floor is {eps_floor:.3g} > 1"
-        )
-    base = make_mollifier(spec)
-    eps = max(_EPS_START, eps_floor)
+    try:
+        eps = max(_EPS_START, min_resolvable_epsilon(spec))
+    except GridError as exc:
+        raise ContourConfigError(f"{exc}; the grid's half period {0.5 * spec.period:.6g} cannot smooth the proxy") from exc
     halvings = 0
     margin = math.inf
     smoothed = values
     while True:
         try:
-            moll = rescaled(base, eps)
+            moll = make_mollifier(spec, eps)
         except (ResolutionError, GridError) as exc:
             raise MarginError(
                 f"smoothing margin {margin:.3g} (need < {r:.3g}) not reached before the "
@@ -874,8 +865,8 @@ def joint_spectrum_witness(fields: Sequence[Field], lam: Sequence[complex]) -> W
         require_finite(field.samples, f"fields[{k}]")
         if not cmath.isfinite(z):
             raise NonFiniteError(f"lam[{k}] = {z!r} is not finite")
-    spec = fields[0].spec
     values = _stack_values(fields)
+    spec = fields[0].spec
     diffs = values - np.asarray(lam, dtype=complex).reshape(-1, *([1] * spec.dim))
     quad = np.sum(np.abs(diffs) ** 2, axis=0)
     delta_inf = float(np.min(np.max(np.abs(diffs), axis=0)))
@@ -912,24 +903,26 @@ def composite_continuity_check(
     Only uses pointwise evaluation of Phi; the samples and every smoothed
     proxy must be finite and inside the domain (checked by
     `range_distance`).  Epsilons below the kernel resolution floor are
-    reported as skipped, not evaluated.
+    reported as skipped, not evaluated; one outside (0, 1], NaN included,
+    raises GridError.
     """
     range_distance(fields, fn.domain)
     spec = fields[0].spec
     values = _stack_values(fields)
-    base = make_mollifier(spec)
-    floor = min_resolvable_epsilon(spec)
-    requested = sorted((float(e) for e in epsilons), reverse=True)
-    eps_sorted = [e for e in requested if e >= floor]
-    dropped = tuple(e for e in requested if e < floor)
+    molls, dropped = [], []
+    for eps in sorted((float(e) for e in epsilons), reverse=True):
+        try:
+            molls.append(make_mollifier(spec, eps))
+        except ResolutionError:
+            dropped.append(eps)
+    eps_sorted = [moll.epsilon for moll in molls]
     if len(eps_sorted) < 2:
         raise HypothesisError(
-            f"need at least two resolvable epsilons (floor {floor:.3g}); got {eps_sorted}"
+            f"need at least two resolvable epsilons (floor {min_resolvable_epsilon(spec):.3g}); got {eps_sorted}"
         )
     direct = np.asarray(fn.evaluate(values))
     gaps = []
-    for eps in eps_sorted:
-        moll = rescaled(base, eps)
+    for moll in molls:
         smoothed = [mollify(f, moll) for f in fields]
         range_distance(smoothed, fn.domain)
         gaps.append(float(np.max(np.abs(np.asarray(fn.evaluate(_stack_values(smoothed))) - direct))))
@@ -938,4 +931,4 @@ def composite_continuity_check(
         gaps[i + 1] <= gaps[i] * (1.0 + _MONOTONE_SLACK) + _MONOTONE_SLACK * scale
         for i in range(len(gaps) - 1)
     )
-    return CompositeContinuityReport(tuple(eps_sorted), tuple(gaps), mono, dropped)
+    return CompositeContinuityReport(tuple(eps_sorted), tuple(gaps), mono, tuple(dropped))

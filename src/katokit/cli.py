@@ -57,7 +57,6 @@ from .grid import (
     load_field,
     make_bump,
     make_grid,
-    make_mollifier,
     plane_wave,
     sup_norm,
 )
@@ -551,7 +550,6 @@ def _suite_mollifier_rate(
     slope_tol=0.1, fit_floor=0.1,
 ):
     spec = make_grid(1, samples_per_axis)
-    moll = make_mollifier(spec)
     window = _default_window(spec)
     if len({e for e in epsilons if e >= fit_floor}) < 2:
         raise HypothesisError(f"option 'fit_floor' = {fit_floor:g} leaves fewer than two distinct epsilons to fit the rate")
@@ -561,7 +559,7 @@ def _suite_mollifier_rate(
         order_s = multi_order(s, (1,))
         order_sp = multi_order(sp, (1,))
         ens = critical_ensemble(_child(seed, pair_index), count, 1, kmax, s, delta=delta)
-        reps = [mollifier_rate_check(u, order_s, order_sp, moll, epsilons, window=window) for u in realize_ensemble(ens, spec)]
+        reps = [mollifier_rate_check(u, order_s, order_sp, epsilons, window=window) for u in realize_ensemble(ens, spec)]
         # Fit only the upper part of the sweep: below fit_floor the
         # ensemble's finite spectrum has no tail left to lose and the
         # local slope steepens past the predicted rate.

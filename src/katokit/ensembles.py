@@ -71,6 +71,8 @@ def sample_band_limited(
     The l^1 scaling bounds the sup norm by 1 on every grid, keeping
     ensemble members comparable across resolutions.
     """
+    if kmax < 1:
+        raise HypothesisError(f"kmax must be >= 1, got {kmax}")
     shape = (2 * kmax + 1,) * dim
     coeffs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     coeffs /= (1.0 + _centered_norms(kmax, dim)) ** decay
@@ -86,6 +88,8 @@ def critical_sample(
     Lies in H^s with barely-summable margin delta, so smoothing-error decay
     rates are realized at their stated exponents instead of saturating.
     """
+    if kmax < 1:
+        raise HypothesisError(f"kmax must be >= 1, got {kmax}")
     shape = (2 * kmax + 1,) * dim
     mags = (1.0 + _centered_norms(kmax, dim) ** 2) ** (-(s + dim / 2.0 + delta) / 2.0)
     phases = np.exp(2j * math.pi * rng.uniform(size=shape))

@@ -489,10 +489,8 @@ class Mollifier:
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon <= 1.0):
             raise GridError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not MOLLIFIER_RADIUS < 0.5 * self.spec.period:
-            raise GridError(f"the mollifier radius {MOLLIFIER_RADIUS:g} needs a period above {2 * MOLLIFIER_RADIUS:g}")
-        across = 2.0 * (self.epsilon * MOLLIFIER_RADIUS) / self.spec.spacing
-        if across < _MIN_KERNEL_SAMPLES:
+        if self.epsilon < min_resolvable_epsilon(self.spec):
+            across = 2.0 * (self.epsilon * MOLLIFIER_RADIUS) / self.spec.spacing
             raise ResolutionError(
                 f"mollifier support spans {across:.2f} samples, fewer than the "
                 f"required {_MIN_KERNEL_SAMPLES}; increase epsilon or refine the grid"
@@ -504,13 +502,16 @@ def make_mollifier(spec: GridSpec, epsilon: float = 1.0) -> Mollifier:
 
 
 def min_resolvable_epsilon(spec: GridSpec) -> float:
-    """Smallest epsilon whose scaled kernel still covers enough samples."""
+    """Smallest epsilon whose scaled kernel still covers enough samples;
+    GridError when the kernel's radius does not fit below half the period."""
+    if not MOLLIFIER_RADIUS < 0.5 * spec.period:
+        raise GridError(f"the mollifier radius {MOLLIFIER_RADIUS:g} needs a period above {2 * MOLLIFIER_RADIUS:g}")
     return 0.5 * _MIN_KERNEL_SAMPLES * spec.spacing / MOLLIFIER_RADIUS
 
 
 def rescaled(moll: Mollifier, epsilon: float) -> Mollifier:
     """Same kernel family at a different epsilon."""
-    return Mollifier(moll.spec, float(epsilon))
+    return make_mollifier(moll.spec, epsilon)
 
 
 def mollifier_kernel(moll: Mollifier) -> Field:

@@ -351,16 +351,21 @@ def dilation_ratio_check(
     prefactors |det lambda|^{-n/p} (1+||lambda||)^n and
     |det lambda|^{-1/p} (1+||lambda||)^n without preferring either.
     """
+    if not isinstance(factor, (int, np.integer)):
+        raise HypothesisError(f"dilation factor must be an integer, got {factor!r}")
     if factor < 1:
         raise HypothesisError(f"dilation factor must be >= 1, got {factor}")
     if not fields:
         raise HypothesisError("fields must hold at least one field")
+    if not (p >= 1.0):
+        raise HypothesisError(f"p must satisfy p >= 1, got {p}")
     spec = fields[0].spec
     n = spec.dim
     det = float(factor**n)
     norm_lam = float(factor)
-    bound_volume = det ** (-n / p) * (1.0 + norm_lam) ** n if not math.isinf(p) else (1.0 + norm_lam) ** n
-    bound_root = det ** (-1.0 / p) * (1.0 + norm_lam) ** n if not math.isinf(p) else (1.0 + norm_lam) ** n
+    # at p = inf both exponents are -0.0, and det ** -0.0 is exactly 1
+    bound_volume = det ** (-n / p) * (1.0 + norm_lam) ** n
+    bound_root = det ** (-1.0 / p) * (1.0 + norm_lam) ** n
     idx = np.arange(spec.samples_per_axis)
     vol_ratios = []
     root_ratios = []

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HypothesisError, PartitionError, ShapeError
+from .errors import HypothesisError, NonFiniteError, PartitionError, ShapeError
 from .grid import (
     Field,
     GridSpec,
@@ -273,7 +273,8 @@ def twisted_periodization(
     Lambda^n c_k(phi).  Representable twists are multiples of
     2 pi / Lambda per axis; other values are projected to the nearest
     representable twist, reported via `theta_offset`.  Each translate
-    tau_{lg} phi is one roll of the window's samples.
+    tau_{lg} phi is one roll of the window's samples.  Raises NonFiniteError
+    when a component of theta is NaN or infinite.
     """
     spec = window.spec
     shifts, lam = _lattice_cells(spec, cells_per_axis)
@@ -281,6 +282,8 @@ def twisted_periodization(
     theta_arr = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta_arr.shape != (spec.dim,):
         raise ShapeError(f"theta must have length {spec.dim}")
+    if not np.all(np.isfinite(theta_arr)):
+        raise NonFiniteError(f"theta = {theta!r} is not finite")
     unit = 2.0 * math.pi / lam
     residues = np.rint(theta_arr / unit).astype(int) % lam
     theta_used = residues * unit

@@ -159,6 +159,9 @@ def peetre_check(
     Draws dimensions up to `max_dim`, random block partitions, orders with
     |s_l| <= order_bound and heavy-tailed points, and records the worst ratio.
     """
+    for name, value in (("samples", samples), ("max_dim", max_dim)):
+        if value < 1:
+            raise HypothesisError(f"{name} must be >= 1, got {value}")
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     worst = 0.0
@@ -341,6 +344,11 @@ def weight_conv_check(
     INCONCLUSIVE when enlarging the box by half moves any value by more
     than 1% (truncation dominates); FAIL otherwise.
     """
+    for name, value in (("box", box), ("step", step)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise HypothesisError(f"{name} must be finite and positive, got {value}")
+    if probes_per_block < 1:
+        raise HypothesisError(f"probes_per_block must be >= 1, got {probes_per_block}")
     sigma = params.sigma.s
     ratios: list[float] = []
     consts: list[float] = []

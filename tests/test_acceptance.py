@@ -40,7 +40,6 @@ from katokit.grid import (
     frequency_axes,
     make_bump,
     make_grid,
-    make_mollifier,
     plane_wave,
 )
 from katokit.kato import (
@@ -235,7 +234,6 @@ def test_acceptance_3_explicit_constant_inequalities():
     # contraction, and the realized log-log rate on critically regular
     # ensembles; the fit keeps only epsilons the spectrum can still resolve
     spec_m = make_grid(1, 1024)
-    moll = make_mollifier(spec_m)
     window = _default_window(spec_m)
     epsilons = [0.4, 0.2828, 0.2, 0.1414, 0.1, 0.0707, 0.05]
     fit_floor = 0.1
@@ -251,7 +249,6 @@ def test_acceptance_3_explicit_constant_inequalities():
                 u,
                 multi_order(s, (1,)),
                 multi_order(sp, (1,)),
-                moll,
                 epsilons,
                 window=window,
             )

@@ -18,6 +18,7 @@ from katokit.ensembles import positive_field
 from katokit import calculus
 from katokit.errors import (
     ContourConfigError,
+    GridError,
     MarginError,
     NonFiniteError,
     OutOfDomainError,
@@ -205,6 +206,25 @@ def test_margin_failure_when_radius_collapses():
     spec, u = cosine_field()
     with pytest.raises(MarginError, match="resolution floor"):
         calderon_apply([u], holo_reciprocal(1.0 - 1e-9))
+
+
+def test_grid_too_coarse_for_any_kernel_is_a_margin_error():
+    # 16 samples of a 2 pi period put the resolvable epsilon floor at pi / 2,
+    # above the largest epsilon a kernel takes
+    spec = make_grid(1, 16)
+    u = field_from_values(spec, 2.0 + np.cos(np.asarray(coordinate_axes(spec)[0])))
+    with pytest.raises(MarginError, match=r"resolution floor at eps=1\.57: epsilon must lie in \(0, 1\]"):
+        calderon_apply([u], holo_exp())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: joint_spectrum_witness([], []), lambda: range_distance([], ()), lambda: range_diameter([])],
+    ids=["joint_spectrum_witness", "range_distance", "range_diameter"],
+)
+def test_empty_field_list_is_refused_by_name(call):
+    with pytest.raises(ShapeError, match="^fields must hold at least one field"):
+        call()
 
 
 def test_arity_mismatch():
@@ -749,6 +769,13 @@ def test_composition_skips_unresolvable_epsilons():
     report = composite_continuity_check([u], holo_exp(), [0.4, 0.2, 1e-4])
     assert 1e-4 in report.skipped
     assert len(report.epsilons) == 2
+
+
+def test_composition_refuses_a_nan_epsilon():
+    # a NaN is neither resolvable nor below the floor: it is refused, not dropped
+    spec, u = cosine_field()
+    with pytest.raises(GridError, match=r"epsilon must lie in \(0, 1\], got nan"):
+        composite_continuity_check([u], holo_exp(), [0.4, np.nan, 0.2])
 
 
 def test_composition_refuses_non_finite_sample():

@@ -341,6 +341,31 @@ def test_verify_all_lists_a_suite_its_options_cannot_run(tmp_path, capsys, monke
     assert summary["errors"] == {suite: "HypothesisError"}
 
 
+@pytest.mark.parametrize(
+    "suite, overrides, named",
+    [
+        ("peetre", {"samples": 0}, "samples"),
+        ("peetre", {"samples": -5}, "samples"),
+        ("peetre", {"max_dim": 0}, "max_dim"),
+        ("weight-conv", {"box": 0.0}, "box"),
+        ("weight-conv", {"probes_per_block": 0}, "probes_per_block"),
+        ("weight-conv", {"step": 0.0}, "step"),
+        ("weight-conv", {"step": -0.05}, "step"),
+        ("mollifier-rate", {"kmax": 0}, "kmax"),
+    ],
+)
+def test_verify_refuses_an_option_the_library_cannot_use(tmp_path, capsys, suite, overrides, named):
+    # a count or a length that leaves a claim vacuous, or its check with
+    # nothing to divide by, is refused by the library, naming the argument
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {suite: overrides}}))
+    out = tmp_path / "r"
+    rc = main(["verify", suite, "--config", str(cfg), "--out", str(out), "--seed", "7"])
+    assert rc == 2
+    assert f"error: {suite}: {named} must be" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["errors"] == {suite: "HypothesisError"}
+
+
 def test_verify_errored_suite_does_not_read_pass(tmp_path, capsys):
     # the only suite raises: no verdicts, and the run reads FAIL, not PASS
     cfg = tmp_path / "cfg.json"

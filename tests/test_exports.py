@@ -41,3 +41,23 @@ def test_every_imported_name_is_used(path):
 
 def _assigns(node, name):
     return isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "grid.py"], ids=lambda p: p.name)
+def test_only_grid_decides_the_mollifier(path):
+    # the kernel's radius and the epsilons it may take are decided in `grid`;
+    # every other module builds the kernel it uses with `make_mollifier`
+    tree = ast.parse(path.read_text())
+    named = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "MOLLIFIER_RADIUS")
+        or (isinstance(node, ast.Attribute) and node.attr == "MOLLIFIER_RADIUS")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "MOLLIFIER_RADIUS" for alias in node.names))
+    ]
+    called = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rescaled"
+    ]
+    assert (named, called) == ([], [])

@@ -676,8 +676,7 @@ def test_rate_equal_orders_bound_is_twice_the_norm():
     spec = make_grid(1, 256)
     order = multi_order(1.0, (1,))
     u = rng_field(spec, 150)
-    moll = make_mollifier(spec)
-    report = mollifier_rate_check(u, order, order, moll, [0.4, 0.2, 0.1], window=default_window(spec))
+    report = mollifier_rate_check(u, order, order, [0.4, 0.2, 0.1], window=default_window(spec))
     assert report.bound_ok
     base = h_norm(u, order)
     for b in report.bounds:
@@ -691,7 +690,7 @@ def test_rate_single_mode_closed_form():
     u = plane_wave(spec, 3)
     moll = make_mollifier(spec)
     epsilons = [0.4, 0.2, 0.1]
-    report = mollifier_rate_check(u, s, sp, moll, epsilons, window=default_window(spec))
+    report = mollifier_rate_check(u, s, sp, epsilons, window=default_window(spec))
     assert report.bound_ok
     x = np.asarray(coordinate_axes(spec)[0])
     from katokit.grid import rescaled
@@ -709,7 +708,6 @@ def test_rate_slope_matches_order_gap():
     # an ensemble with just-critical spectral decay realizes the declared
     # rate; faster-decaying fields would sit below it
     spec = make_grid(1, 1024)
-    moll = make_mollifier(spec)
     fields = realize_ensemble(critical_ensemble(5, 4, 1, 500, 2.0, delta=0.02), spec)
     slopes = []
     for u in fields:
@@ -717,7 +715,6 @@ def test_rate_slope_matches_order_gap():
             u,
             multi_order(2.0, (1,)),
             multi_order(1.0, (1,)),
-            moll,
             [0.4, 0.2, 0.1, 0.05],
             window=default_window(spec),
         )
@@ -733,7 +730,7 @@ def test_rate_young_gate_fails_when_smoothing_raises_the_windowed_norm(monkeypat
     spec = make_grid(1, 256)
     order = multi_order(1.0, (1,))
     u = rng_field(spec, 150)
-    args = (u, order, order, make_mollifier(spec), [0.4, 0.2])
+    args = (u, order, order, [0.4, 0.2])
     assert mollifier_rate_check(*args, window=default_window(spec)).young_ok
     original = kato.kato_norm
     monkeypatch.setattr(kato, "kato_norm", lambda f, s: original(f, s) * (1.0 if f is u else 2.0))
@@ -749,7 +746,6 @@ def test_rate_refuses_fewer_than_two_distinct_epsilons(epsilons):
             rng_field(spec, 150),
             multi_order(2.0, (1,)),
             multi_order(1.0, (1,)),
-            make_mollifier(spec),
             epsilons,
             window=default_window(spec),
         )
@@ -757,13 +753,11 @@ def test_rate_refuses_fewer_than_two_distinct_epsilons(epsilons):
 
 def test_rate_requires_order_domination():
     spec = make_grid(1, 256)
-    moll = make_mollifier(spec)
     with pytest.raises(HypothesisError):
         mollifier_rate_check(
             constant_field(spec),
             multi_order(0.5, (1,)),
             multi_order(1.0, (1,)),
-            moll,
             [0.2],
             window=default_window(spec),
         )

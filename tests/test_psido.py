@@ -543,6 +543,24 @@ def test_dilation_identity_ratio():
     assert all(np.isfinite(report.ratios_root_exponent))
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+def test_dilation_refuses_an_exponent_below_one(p):
+    # p = 0 would divide the prefactors' exponents by zero
+    spec = make_grid(1, 64)
+    chi = make_bump(spec, [(1.0, 5.0)], [(2.0, 4.0)])
+    with pytest.raises(HypothesisError, match="p must satisfy p >= 1"):
+        dilation_ratio_check([constant_field(spec)], p, chi)
+
+
+@pytest.mark.parametrize("factor", [2.5, 2.0])
+def test_dilation_refuses_a_non_integer_factor(factor):
+    # the stretch x -> factor x maps the sample lattice to itself only for an integer factor
+    spec = make_grid(1, 64)
+    chi = make_bump(spec, [(1.0, 5.0)], [(2.0, 4.0)])
+    with pytest.raises(HypothesisError, match="dilation factor must be an integer"):
+        dilation_ratio_check([constant_field(spec)], 2.0, chi, factor=factor)
+
+
 @pytest.mark.parametrize(
     "check, named",
     [

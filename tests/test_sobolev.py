@@ -325,6 +325,14 @@ def test_periodization_2d_spectrum_on_coset():
     assert report.passed
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_periodization_refuses_a_non_finite_twist(theta):
+    # no lattice coset represents it: refused, not projected to nan
+    spec = make_grid(1, 128)
+    with pytest.raises(NonFiniteError, match="theta"):
+        twisted_periodization(_one_cell_bump(spec), theta, cells_per_axis=4)
+
+
 # ---------------------------------------------------------------------------
 # partition of unity
 
