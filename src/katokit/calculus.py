@@ -130,6 +130,10 @@ class GenericDomain:
     test: Callable[[np.ndarray], np.ndarray]
     reach: float = 64.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.reach < math.inf:
+            raise HypothesisError(f"reach must be finite and positive, got {self.reach}")
+
     def contains(self, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.test(np.asarray(z)), dtype=bool)
 
@@ -363,9 +367,13 @@ def range_distance(fields: Sequence[Field], domain: Sequence[DomainPart]) -> flo
     Raises when any sample leaves its domain factor; a non-finite sample
     lies outside every factor, Entire included.
     """
-    if len(fields) != len(domain):
+    return _range_distance(_stack_values(fields), domain)
+
+
+def _range_distance(values: np.ndarray, domain: Sequence[DomainPart]) -> float:
+    """`range_distance` of the stacked samples, one row per domain factor."""
+    if values.shape[0] != len(domain):
         raise ShapeError("need one domain factor per field")
-    values = _stack_values(fields)
     dist = math.inf
     for k, dom in enumerate(domain):
         ok = np.isfinite(values[k]) & dom.contains(values[k])
@@ -631,7 +639,7 @@ def calderon_apply(
         raise ShapeError(f"expected {fn.arity} fields, got {len(fields)}")
     spec = fields[0].spec
     values = _stack_values(fields)
-    dist = range_distance(fields, fn.domain)
+    dist = _range_distance(values, fn.domain)
     diam = range_diameter(fields)
     if math.isinf(dist):
         r = max(diam, 1.0) * _RADIUS_FACTOR
@@ -668,10 +676,7 @@ def calderon_apply(
         halvings += 1
 
     rho = _CONTOUR_RADIUS_IN_R * r
-    reach = math.inf
-    for k, dom in enumerate(fn.domain):
-        if not isinstance(dom, Entire):
-            reach = min(reach, float(np.min(dom.complement_distance(smoothed[k]))))
+    reach = _range_distance(smoothed, fn.domain)
     if rho >= reach:
         raise ContourConfigError(
             f"contour radius {rho:.3g} reaches the domain boundary "
@@ -901,14 +906,14 @@ def composite_continuity_check(
     """sup |Phi(phi_eps * u) - Phi(u)| decreases along a decreasing eps sweep.
 
     Only uses pointwise evaluation of Phi; the samples and every smoothed
-    proxy must be finite and inside the domain (checked by
+    proxy must be finite and inside the domain (checked as in
     `range_distance`).  Epsilons below the kernel resolution floor are
     reported as skipped, not evaluated; one outside (0, 1], NaN included,
     raises GridError.
     """
-    range_distance(fields, fn.domain)
-    spec = fields[0].spec
     values = _stack_values(fields)
+    _range_distance(values, fn.domain)
+    spec = fields[0].spec
     molls, dropped = [], []
     for eps in sorted((float(e) for e in epsilons), reverse=True):
         try:
@@ -923,9 +928,9 @@ def composite_continuity_check(
     direct = np.asarray(fn.evaluate(values))
     gaps = []
     for moll in molls:
-        smoothed = [mollify(f, moll) for f in fields]
-        range_distance(smoothed, fn.domain)
-        gaps.append(float(np.max(np.abs(np.asarray(fn.evaluate(_stack_values(smoothed))) - direct))))
+        smoothed = _stack_values([mollify(f, moll) for f in fields])
+        _range_distance(smoothed, fn.domain)
+        gaps.append(float(np.max(np.abs(np.asarray(fn.evaluate(smoothed)) - direct))))
     scale = max(max(gaps), 1e-300)
     mono = all(
         gaps[i + 1] <= gaps[i] * (1.0 + _MONOTONE_SLACK) + _MONOTONE_SLACK * scale

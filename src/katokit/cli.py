@@ -423,6 +423,7 @@ def _suite_twisted_periodization(seed: int, *, samples_per_axis=128, cells_per_a
 
 @_suite("lattice-decomposition", "the square-summed lattice localization stays inside its two-sided bracket")
 def _suite_lattice_decomposition(seed: int, *, resolutions=[128, 256], count=50, cells_per_axis=4, stability_rtol=0.10):
+    _require_refinement("resolutions", resolutions)
     order = multi_order(1.0, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -468,12 +469,21 @@ def _require_p_two(p_values: list) -> None:
         raise HypothesisError(f"option 'p_values' must include 2, which the stability case follows; got {p_values!r}")
 
 
+def _require_refinement(name: str, values: list) -> None:
+    """Refuse a sweep with one size, whose refinement case compares it with itself."""
+    if len(set(values)) < 2:
+        raise HypothesisError(
+            f"option {name!r} must hold at least two distinct sizes, which the refinement case compares; got {values!r}"
+        )
+
+
 @_suite("window-independence", "amalgam norms built from two admissible windows differ by a bounded, stable factor")
 def _suite_window_independence(
     seed: int, *, resolutions=[128, 256], count=50, p_values=[1.0, 2.0, "inf"], bracket=(0.02, 50.0),
     stability_rtol=0.10,
 ):
     _require_p_two(p_values)
+    _require_refinement("resolutions", resolutions)
     order = multi_order(1.0, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -653,6 +663,7 @@ def _suite_sw_embedding(
     seed: int, *, resolutions=[128, 256], count=50, p_values=[1.0, 2.0], order=1.5, bracket=10.0, stability_rtol=0.10
 ):
     _require_p_two(p_values)
+    _require_refinement("resolutions", resolutions)
     weight_order = multi_order(order, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -704,6 +715,8 @@ def _suite_schatten(
     seed: int, *, resolutions=[16, 32], bound_resolutions=[32, 64], count=6, taus=[0.0, 0.5, 1.0], hs_tol=1e-8,
     center_box=(1.5, 5.5), width_range=(0.5, 0.9), stability_rtol=0.10,
 ):
+    _require_refinement("resolutions", resolutions)
+    _require_refinement("bound_resolutions", bound_resolutions)
     cases = []
     identity_track = []
     for n_res in resolutions:
@@ -738,7 +751,7 @@ def _suite_schatten(
         flip = (-np.arange(n_res)) % n_res
         conj = op0.entries[np.ix_(flip, flip)]
         sv_a = np.sort(op0.singular_values())
-        sv_b = np.sort(operator_from_matrix(conj, op0.tau, 1, n_res, sym_spec.period).singular_values())
+        sv_b = np.sort(operator_from_matrix(conj).singular_values())
         sv_gap = float(np.max(np.abs(sv_a - sv_b)) / max(float(sv_a[-1]), 1e-300))
         label = f"singular values invariant under grid reflection, {n_res} samples"
         cases.append(_case(label, _verdict(sv_gap <= 1e-9), max_rel_gap=sv_gap))

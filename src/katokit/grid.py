@@ -124,14 +124,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return self.spacing**self.dim
 
-    @property
-    def block_axes(self) -> tuple[tuple[int, ...], ...]:
-        out, start = [], 0
-        for b in self.blocks:
-            out.append(tuple(range(start, start + b)))
-            start += b
-        return tuple(out)
-
 
 def make_grid(
     dim: int,

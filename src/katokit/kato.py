@@ -56,7 +56,7 @@ from .grid import (
     window_from_factors,
     window_from_samples,
 )
-from .sobolev import PartitionOfUnity, _lattice_pieces, _schur_constant, h_norm, weight_mesh
+from .sobolev import PartitionOfUnity, _check_order, _lattice_pieces, _schur_constant, h_norm, weight_mesh
 from .weights import MultiOrder, SigmaParams
 
 __all__ = [
@@ -109,8 +109,7 @@ class AmalgamNormSpec:
     def __post_init__(self) -> None:
         if not (self.p >= 1.0):
             raise HypothesisError(f"p must satisfy p >= 1, got {self.p}")
-        if self.order.blocks != self.window.spec.blocks:
-            raise ShapeError("order blocks must match the window's grid blocks")
+        _check_order(self.window.spec, self.order)
 
 
 def amalgam_spec(

@@ -44,7 +44,7 @@ from .kato import (
     kato_norm,
     translation_shifts,
 )
-from .sobolev import h_norm
+from .sobolev import _check_order, h_norm
 from .weights import MultiOrder, weight_l1_norm
 
 __all__ = [
@@ -95,8 +95,7 @@ class Symbol:
             raise ShapeError(
                 f"symbol grid must have 2*{self.space_dim} axes, got {spec.dim}"
             )
-        if self.order.blocks != spec.blocks:
-            raise ShapeError("symbol order blocks must match the grid blocks")
+        _check_order(spec, self.order)
 
     @property
     def spec(self) -> GridSpec:
@@ -117,23 +116,15 @@ class OperatorMatrix:
     """
 
     entries: np.ndarray
-    tau: np.ndarray
-    space_dim: int
-    samples_per_axis: int
-    period: float
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.entries, dtype=np.complex128)
-        size = self.samples_per_axis**self.space_dim
-        if arr.shape != (size, size):
-            raise ShapeError(f"entries must be {size} x {size}, got {arr.shape}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ShapeError(f"entries must be a square matrix, got shape {arr.shape}")
         if arr is self.entries and arr.flags.writeable:
             arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-        tau = _tau_matrix(self.tau, self.space_dim)
-        tau.setflags(write=False)
-        object.__setattr__(self, "tau", tau)
 
     @functools.cached_property
     def _singular_values(self) -> np.ndarray:
@@ -145,10 +136,8 @@ class OperatorMatrix:
         return self._singular_values
 
 
-def operator_from_matrix(
-    entries: np.ndarray, tau: np.ndarray | float, space_dim: int, samples_per_axis: int, period: float
-) -> OperatorMatrix:
-    return OperatorMatrix(entries, tau, space_dim, samples_per_axis, period)
+def operator_from_matrix(entries: np.ndarray) -> OperatorMatrix:
+    return OperatorMatrix(entries)
 
 
 def _tau_matrix(tau: np.ndarray | float, n: int) -> np.ndarray:
@@ -174,8 +163,7 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     """
     require_finite(symbol.field.samples, "symbol")
     n = symbol.space_dim
-    spec = symbol.spec
-    num = spec.samples_per_axis
+    num = symbol.spec.samples_per_axis
     tau_mat = _tau_matrix(tau, n)
     x_axes = tuple(range(n))
     xi_axes = tuple(range(n, 2 * n))
@@ -192,7 +180,7 @@ def quantize(symbol: Symbol, tau: np.ndarray | float) -> OperatorMatrix:
     entries = stage[tuple(index)].reshape(num**n, num**n)
     # read-only before it is handed over, so the operator keeps it uncopied
     entries.setflags(write=False)
-    return OperatorMatrix(entries, tau_mat, n, num, spec.period)
+    return OperatorMatrix(entries)
 
 
 def _twist(tau_mat: np.ndarray, num: int) -> np.ndarray:
@@ -302,9 +290,7 @@ def sw_embedding_check(
     """
     if not fields:
         raise HypothesisError("fields must hold at least one field")
-    spec = fields[0].spec
-    if order.blocks != spec.blocks:
-        raise ShapeError("order blocks must match the grid blocks")
+    _check_order(fields[0].spec, order)
     for s_l, n_l in zip(order.s, order.blocks):
         if not s_l > n_l:
             raise HypothesisError(
@@ -425,9 +411,9 @@ def isometry_from_matrix(mat: np.ndarray) -> GridIsometry:
     of scope for an exactness check.
     """
     arr = np.asarray(mat, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ShapeError(f"isometry matrix must be square, got shape {arr.shape}")
     n = arr.shape[0]
-    if arr.shape != (n, n):
-        raise ShapeError("isometry matrix must be square")
     perm = []
     signs = []
     for j in range(n):
@@ -547,14 +533,7 @@ def tau_sweep_check(symbol: Symbol, p: float) -> TauSweepReport:
     smaller moves.
     """
     ops = [quantize(symbol, t) for t in _TAU_SWEEP]
-    base = ops[0]
-    gaps = []
-    for op in ops:
-        diff = operator_from_matrix(
-            op.entries - base.entries, base.tau, symbol.space_dim,
-            symbol.spec.samples_per_axis, symbol.spec.period,
-        )
-        gaps.append(schatten_norm(diff, p))
+    gaps = [schatten_norm(operator_from_matrix(op.entries - ops[0].entries), p) for op in ops]
     scale = max(max(gaps), 1e-300)
     mono = all(
         gaps[i + 1] >= gaps[i] * (1.0 - _SWEEP_SLACK) - _SWEEP_SLACK * scale

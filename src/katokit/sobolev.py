@@ -39,7 +39,7 @@ from .grid import (
     translates,
     window_from_factors,
 )
-from .weights import MultiOrder, SigmaParams, weight_conv_constant_total
+from .weights import MultiOrder, SigmaParams, _block_weight, weight_conv_constant_total
 
 __all__ = [
     "weight_mesh",
@@ -71,13 +71,7 @@ def _check_order(spec: GridSpec, order: MultiOrder) -> None:
 def weight_mesh(spec: GridSpec, order: MultiOrder) -> np.ndarray:
     """<<xi_k>>^s on the full frequency lattice, FFT order, read-only."""
     _check_order(spec, order)
-    freqs = frequency_axes(spec)
-    out = np.ones(spec.shape, dtype=float)
-    for axes, s_l in zip(spec.block_axes, order.s):
-        block_sq = np.zeros(spec.shape, dtype=float)
-        for axis in axes:
-            block_sq = block_sq + _along(freqs[axis] ** 2, spec.dim, axis)
-        out = out * (1.0 + block_sq) ** (0.5 * s_l)
+    out = _block_weight([_along(f, spec.dim, axis) for axis, f in enumerate(frequency_axes(spec))], order)
     out.flags.writeable = False
     return out
 
@@ -131,7 +125,7 @@ def derivative_split_check(field: Field, order: MultiOrder, block: int, tol: flo
     lowered = order.shifted(block, -1.0)
     lhs = h_norm(field, order) ** 2
     rhs = h_norm(field, lowered) ** 2
-    for axis in spec.block_axes[block]:
+    for axis in order.block_axes[block]:
         rhs += h_norm(spectral_derivative(field, axis), lowered) ** 2
     rel = abs(lhs - rhs) / max(lhs, 1e-300)
     return DerivativeSplitReport(lhs_sq=lhs, rhs_sq=rhs, rel_err=rel, passed=rel <= tol)

@@ -18,6 +18,7 @@ written <<xi>>^s below.  Two facts carry the rest of the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -72,6 +73,11 @@ class MultiOrder:
         return sum(self.blocks)
 
     @property
+    def block_axes(self) -> tuple[tuple[int, ...], ...]:
+        """The axes of each block: the blocks split the axes in order."""
+        return tuple(tuple(range(end - b, end)) for b, end in zip(self.blocks, itertools.accumulate(self.blocks)))
+
+    @property
     def total_abs(self) -> float:
         """|s|_1 = sum |s_l|."""
         return float(sum(abs(v) for v in self.s))
@@ -107,11 +113,11 @@ def bracket(xi: np.ndarray | float) -> np.ndarray | float:
     return np.sqrt(1.0 + np.sum(arr**2, axis=-1))
 
 
-def _block_splits(order: MultiOrder) -> list[tuple[int, int]]:
-    out, start = [], 0
-    for b in order.blocks:
-        out.append((start, start + b))
-        start += b
+def _block_weight(coords: Sequence[np.ndarray], order: MultiOrder) -> np.ndarray:
+    """<<xi>>^s from one coordinate array per axis; the arrays broadcast together."""
+    out = 1.0
+    for axes, s_l in zip(order.block_axes, order.s):
+        out = out * (1.0 + sum(coords[axis] ** 2 for axis in axes)) ** (0.5 * s_l)
     return out
 
 
@@ -120,10 +126,7 @@ def multi_weight(xi: np.ndarray, order: MultiOrder) -> np.ndarray | float:
     arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if arr.shape[-1] != order.dim:
         raise ShapeError(f"points have {arr.shape[-1]} coordinates, order expects {order.dim}")
-    result = np.ones(arr.shape[:-1], dtype=float)
-    for (a, b), s_l in zip(_block_splits(order), order.s):
-        block_sq = 1.0 + np.sum(arr[..., a:b] ** 2, axis=-1)
-        result = result * block_sq ** (0.5 * s_l)
+    result = _block_weight(np.moveaxis(arr, -1, 0), order)
     if result.shape == ():
         return float(result)
     return result
@@ -162,6 +165,10 @@ def peetre_check(
     for name, value in (("samples", samples), ("max_dim", max_dim)):
         if value < 1:
             raise HypothesisError(f"{name} must be >= 1, got {value}")
+    # the spread is drawn from [0.1, scale)
+    for name, value, low in (("order_bound", order_bound, 0.0), ("scale", scale, 0.1)):
+        if not (math.isfinite(value) and value >= low):
+            raise HypothesisError(f"{name} must be finite and >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     remaining = int(samples)
     worst = 0.0
@@ -196,8 +203,8 @@ def weight_l1_norm(lam: float, n: int) -> float:
     admissible exponent lam > n/2.
     """
     lam = float(lam)
-    if lam <= n / 2.0:
-        raise HypothesisError(f"weight exponent lam={lam} must exceed n/2={n / 2.0} for integrability")
+    if not n / 2.0 < lam < math.inf:
+        raise HypothesisError(f"weight exponent lam={lam} must be finite and exceed n/2={n / 2.0} for integrability")
     return math.pi ** (n / 2.0) * math.gamma(lam - n / 2.0) / math.gamma(lam)
 
 
@@ -209,8 +216,8 @@ def weight_l1_norm_quad(lam: float, n: int) -> float:
     double-exponential rule); the integrand is formed in log form so that
     neither end overflows."""
     lam = float(lam)
-    if lam <= n / 2.0:
-        raise HypothesisError(f"weight exponent lam={lam} must exceed n/2={n / 2.0} for integrability")
+    if not n / 2.0 < lam < math.inf:
+        raise HypothesisError(f"weight exponent lam={lam} must be finite and exceed n/2={n / 2.0} for integrability")
     surface = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
     h = 1.0 / 64.0
     t = h * np.arange(-6 * 64, 6 * 64 + 1)

@@ -19,6 +19,7 @@ from katokit import calculus
 from katokit.errors import (
     ContourConfigError,
     GridError,
+    HypothesisError,
     MarginError,
     NonFiniteError,
     OutOfDomainError,
@@ -105,6 +106,13 @@ def test_generic_domain_distance_vs_dense_boundary_oracle():
     for z, d in zip(points, got):
         want = float(np.min(np.abs(boundary - z)))
         assert d == pytest.approx(want, abs=1e-5)
+
+
+@pytest.mark.parametrize("reach", [0.0, -1.0, math.nan, math.inf])
+def test_generic_domain_refuses_a_reach_it_cannot_search(reach):
+    # refused when made, not at the first distance with a bare math error
+    with pytest.raises(HypothesisError, match="^reach must be finite and positive"):
+        GenericDomain(lambda z: np.abs(z) > 1.0, reach=reach)
 
 
 def test_range_distance_raises_outside_domain():
@@ -577,8 +585,6 @@ def test_divide_floor_is_quarter_of_c_squared():
 
 
 def test_divide_rejects_cutoff_not_one_on_support():
-    from katokit.errors import HypothesisError
-
     spec, v = cosine_field()
     u = make_bump(spec, [(2.0, 4.0)]).field
     bad_cutoff = make_bump(spec, [(2.5, 3.5)], [(2.8, 3.2)])

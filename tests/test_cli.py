@@ -322,6 +322,12 @@ def test_verify_all_keeps_the_other_suites(tmp_path, capsys, monkeypatch, order)
         ("sw-embedding", {"p_values": [1.0, 1.5]}, "p_values"),
         ("mollifier-rate", {"fit_floor": 1.0}, "fit_floor"),
         ("mollifier-rate", {"epsilons": [0.4, 0.4]}, "fit_floor"),
+        ("lattice-decomposition", {"resolutions": [128]}, "resolutions"),
+        ("window-independence", {"resolutions": [128]}, "resolutions"),
+        ("sw-embedding", {"resolutions": [128]}, "resolutions"),
+        ("schatten", {"resolutions": [16]}, "resolutions"),
+        ("schatten", {"resolutions": [16, 16]}, "resolutions"),
+        ("schatten", {"bound_resolutions": [32]}, "bound_resolutions"),
     ],
 )
 def test_verify_all_lists_a_suite_its_options_cannot_run(tmp_path, capsys, monkeypatch, suite, overrides, named):
@@ -352,6 +358,8 @@ def test_verify_all_lists_a_suite_its_options_cannot_run(tmp_path, capsys, monke
         ("weight-conv", {"step": 0.0}, "step"),
         ("weight-conv", {"step": -0.05}, "step"),
         ("mollifier-rate", {"kmax": 0}, "kmax"),
+        ("peetre", {"scale": 0.0}, "scale"),
+        ("peetre", {"order_bound": -1.0}, "order_bound"),
     ],
 )
 def test_verify_refuses_an_option_the_library_cannot_use(tmp_path, capsys, suite, overrides, named):

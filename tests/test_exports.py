@@ -61,3 +61,41 @@ def test_only_grid_decides_the_mollifier(path):
         if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "rescaled"
     ]
     assert (named, called) == ([], [])
+
+
+def _calls_by_function(path, callee):
+    """Names of the functions in `path` whose bodies call `callee`."""
+    tree = ast.parse(path.read_text())
+    return sorted(
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == callee
+            for node in ast.walk(fn)
+        )
+    )
+
+
+def test_only_weights_lays_out_the_blocks():
+    # the axes of each block are decided by `MultiOrder.block_axes`, which
+    # the one block-weight formula and every per-block loop read
+    definers = [
+        path.name
+        for path in SOURCES
+        if any(isinstance(node, ast.FunctionDef) and node.name == "block_axes" for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert definers == ["weights.py"]
+
+
+def test_only_quantize_reads_tau():
+    # an operator is its matrix: tau is validated where it is used
+    callers = {path.name: _calls_by_function(path, "_tau_matrix") for path in SOURCES}
+    assert {name: fns for name, fns in callers.items() if fns} == {"psido.py": ["quantize"]}
+
+
+def test_calculus_measures_the_range_distance_once():
+    # one loop over the domain factors takes every complement distance
+    assert _calls_by_function(Path(katokit.__file__).resolve().parent / "calculus.py", "complement_distance") == [
+        "_range_distance"
+    ]

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from katokit.ensembles import symbol_family
-from katokit.errors import HypothesisError, NonFiniteError
+from katokit.errors import HypothesisError, NonFiniteError, ShapeError
 from katokit.grid import (
     Field,
     constant_field,
@@ -132,7 +132,7 @@ def test_rank_one_matrix_has_product_norm():
     phi = np.exp(-((x - 2.0) ** 2)) + 0.3j * np.cos(x)
     psi = 1.0 / (1.0 + (x - 4.0) ** 2)
     entries = space.cell_volume * np.outer(phi, np.conj(psi))
-    op = operator_from_matrix(entries, 0.0, 1, n_samp, space.period)
+    op = operator_from_matrix(entries)
     want = math.sqrt(space.cell_volume * np.sum(np.abs(phi) ** 2)) * math.sqrt(
         space.cell_volume * np.sum(np.abs(psi) ** 2)
     )
@@ -197,33 +197,31 @@ def test_schatten_rejects_p_below_one():
 
 
 def test_operators_leave_the_callers_arrays_writable():
-    # an operator keeps read-only copies of tau and of given entries; the
-    # caller's arrays stay writable and writing them changes no operator
+    # an operator keeps a read-only copy of given entries; the caller's
+    # arrays stay writable and writing them changes no operator
     spec = symbol_grid(8)
     tau = np.array([[0.5]])
     op = quantize(random_symbol(spec, 3), tau)
     entries = np.array(op.entries)
-    given = operator_from_matrix(entries, tau, 1, 8, spec.period)
+    given = operator_from_matrix(entries)
     assert tau.flags.writeable and entries.flags.writeable
-    tau[0, 0] = 0.25
     entries[0, 0] = 7.0
-    assert op.tau[0, 0] == given.tau[0, 0] == 0.5
     assert given.entries[0, 0] == op.entries[0, 0] != 7.0
-    assert not (op.tau.flags.writeable or given.tau.flags.writeable or given.entries.flags.writeable)
+    assert not (op.entries.flags.writeable or given.entries.flags.writeable)
 
 
 def test_operator_copies_only_writeable_entries():
     # a writeable array given to the constructor stays the caller's and
     # writeable; a read-only one, as quantize hands over, is kept uncopied
     given = np.eye(4, dtype=complex)
-    op = psido.OperatorMatrix(given, 0.5, 1, 4, 1.0)
+    op = psido.OperatorMatrix(given)
     assert given.flags.writeable and not op.entries.flags.writeable
     given[0, 0] = 7.0
     assert op.entries[0, 0] == 1.0
     frozen = np.eye(4, dtype=complex)
     frozen.setflags(write=False)
-    assert psido.OperatorMatrix(frozen, 0.5, 1, 4, 1.0).entries is frozen
-    assert operator_from_matrix(frozen, 0.5, 1, 4, 1.0).entries is frozen
+    assert psido.OperatorMatrix(frozen).entries is frozen
+    assert operator_from_matrix(frozen).entries is frozen
 
 
 @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf)])
@@ -638,6 +636,18 @@ def test_quarter_turn_has_order_four():
     for _ in range(4):
         out = apply_isometry(out, iso)
     assert np.array_equal(out.samples, u.samples)
+
+
+@pytest.mark.parametrize("mat", [np.asarray(5.0), np.ones(3), np.ones((2, 3)), np.ones((2, 2, 2))], ids=["0-d", "1-d", "2x3", "3-d"])
+def test_isometry_from_matrix_refuses_a_non_square_array(mat):
+    with pytest.raises(ShapeError, match="^isometry matrix must be square"):
+        isometry_from_matrix(mat)
+
+
+@pytest.mark.parametrize("entries", [np.ones(4), np.ones((2, 3)), np.ones((2, 2, 2))], ids=["1-d", "2x3", "3-d"])
+def test_operator_refuses_non_square_entries(entries):
+    with pytest.raises(ShapeError, match="^entries must be a square matrix"):
+        operator_from_matrix(entries)
 
 
 def test_non_grid_rotation_is_refused():

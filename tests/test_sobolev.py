@@ -19,6 +19,7 @@ from katokit.grid import (
     coordinate_axes,
     field_from_values,
     frequency_axes,
+    frequency_mesh,
     make_bump,
     make_grid,
     plane_wave,
@@ -26,7 +27,7 @@ from katokit.grid import (
     window_from_samples,
 )
 from katokit import sobolev
-from katokit.weights import multi_order, sigma_params
+from katokit.weights import multi_order, multi_weight, sigma_params
 from katokit.sobolev import (
     bessel_apply,
     build_partition,
@@ -162,6 +163,29 @@ def test_h_norm_matches_direct_sum_oracle(dim, n, blocks, s):
     got = h_norm(u, order)
     want = h_norm_oracle(u, order)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dim,n,blocks",
+    [
+        (1, 32, (1,)),
+        (2, 16, (2,)),
+        (2, 16, (1, 1)),
+        (3, 8, (3,)),
+        (3, 8, (1, 2)),
+        (4, 6, (4,)),
+        (4, 6, (2, 2)),
+        (4, 6, (3, 1)),
+        (4, 6, (1, 1, 1, 1)),
+    ],
+)
+def test_weight_mesh_is_the_point_weight_on_the_frequency_lattice(dim, n, blocks):
+    # the lattice route and the point route share one formula, so they
+    # agree bit for bit, also where the frequencies are not integers
+    spec = make_grid(dim, n, period=5.0, blocks=blocks)
+    order = multi_order([1.3 - 0.9 * l for l in range(len(blocks))], blocks)
+    points = np.moveaxis(np.asarray(frequency_mesh(spec)), 0, -1)
+    assert np.array_equal(sobolev.weight_mesh(spec, order), multi_weight(points, order))
 
 
 def test_h_norm_order_must_match_blocks():

@@ -107,6 +107,18 @@ def test_peetre_sweep_never_exceeds_one():
     assert report.samples == 100000
 
 
+@pytest.mark.parametrize(
+    "named, value",
+    [("scale", 0.0), ("scale", -3.0), ("scale", math.nan), ("scale", math.inf)]
+    + [("order_bound", -1.0), ("order_bound", math.nan), ("order_bound", math.inf)],
+)
+def test_peetre_refuses_a_spread_it_cannot_draw(named, value):
+    # the spread is drawn from [0.1, scale) and the orders from
+    # [-order_bound, order_bound): a value outside is refused, naming it
+    with pytest.raises(HypothesisError, match=f"^{named} must be finite"):
+        peetre_check(samples=10, **{named: value})
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     s=st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
@@ -139,6 +151,14 @@ def test_weight_l1_requires_integrability():
         weight_l1_norm(0.5, 1)
     with pytest.raises(HypothesisError):
         weight_l1_norm_quad(1.0, 2)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+@pytest.mark.parametrize("norm", [weight_l1_norm, weight_l1_norm_quad])
+def test_weight_l1_refuses_a_non_finite_exponent(norm, lam):
+    # refused, not answered with nan (or 0.0 from the quadrature at inf)
+    with pytest.raises(HypothesisError, match="lam=.*must be finite"):
+        norm(lam, 1)
 
 
 # ---------------------------------------------------------------------------
