@@ -386,15 +386,17 @@ def _range_distance(values: np.ndarray, domain: Sequence[DomainPart]) -> float:
                 f"{bad.shape[0]} samples of field {k} leave the domain {dom!r}; first offenders "
                 f"(index, value): {preview}"
             )
-        if isinstance(dom, Entire):
-            continue
         dist = min(dist, float(np.min(dom.complement_distance(values[k]))))
     return dist
 
 
 def range_diameter(fields: Sequence[Field]) -> float:
     """Bounding-box diagonal of the sampled range, maxed over coordinates."""
-    values = _stack_values(fields)
+    return _range_diameter(_stack_values(fields))
+
+
+def _range_diameter(values: np.ndarray) -> float:
+    """`range_diameter` of the stacked samples."""
     diam = 0.0
     for k in range(values.shape[0]):
         re = np.real(values[k])
@@ -640,7 +642,7 @@ def calderon_apply(
     spec = fields[0].spec
     values = _stack_values(fields)
     dist = _range_distance(values, fn.domain)
-    diam = range_diameter(fields)
+    diam = _range_diameter(values)
     if math.isinf(dist):
         r = max(diam, 1.0) * _RADIUS_FACTOR
     else:
@@ -654,7 +656,6 @@ def calderon_apply(
         raise ContourConfigError(f"{exc}; the grid's half period {0.5 * spec.period:.6g} cannot smooth the proxy") from exc
     halvings = 0
     margin = math.inf
-    smoothed = values
     while True:
         try:
             moll = make_mollifier(spec, eps)

@@ -42,7 +42,7 @@ import platform
 import sys
 import zlib
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -176,9 +176,20 @@ def _case(label: str, verdict: str, **values) -> dict:
     return {"label": label, **values, "verdict": verdict}
 
 
+def _worst(values: Iterable[float]) -> float:
+    """Largest of `values` and 0.0; NaN when any value is NaN."""
+    return float(np.max([0.0, *values]))
+
+
+def _at_most(label: str, values: Iterable[float], bound: float, key: str) -> dict:
+    """PASS when the worst of `values` is at most `bound`; the worst value is reported under `key`."""
+    worst = _worst(values)
+    return _case(label, _verdict(worst <= bound), **{key: worst})
+
+
 def _stability_case(label: str, first: Sequence[float], last: Sequence[float], rtol: float) -> dict:
     """Largest per-sample relative drift of the same samples between two resolutions."""
-    drift = max(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(first, last))
+    drift = _worst(abs(a - b) / max(abs(b), 1e-300) for a, b in zip(first, last))
     return _case(label, PASS if drift <= rtol else INCONCLUSIVE, max_rel_drift=drift)
 
 
@@ -228,7 +239,8 @@ def _bracket_power(xi: Sequence[float], s: Sequence[float]) -> float:
 #
 # A check over several fields, pairs or symbols is one list of reports, built
 # in call order.  A case reads `all(r.passed for r in reps)`, and its worst
-# value as `max(0.0, *values)`, which keeps a NaN where a running max would.
+# value as `_worst(values)`, which keeps a NaN where `max` would drop it, so
+# a NaN fails `_at_most` and reads INCONCLUSIVE in `_stability_case`.
 # No `all()` runs over a generator that calls the library: it would stop at
 # the first failure and skip the later calls.  A result the library has
 # accepted, past the gates it raises on, reads PASS.
@@ -294,10 +306,8 @@ def _suite_spectral_exactness(seed: int, *, samples_per_axis=64, tol=1e-10):
         for k in [0, 1, -3, 7, spec.samples_per_axis // 2 - 1]
         for pw in [plane_wave(spec, [k])]
     ]
-    worst_w = max(0.0, *(w for w, _ in errs))
-    worst_d = max(0.0, *(d for _, d in errs))
-    cases.append(_case("weight multiplier on plane waves, one axis", _verdict(worst_w <= tol), max_err=worst_w))
-    cases.append(_case("spectral derivative on plane waves, one axis", _verdict(worst_d <= tol), max_err=worst_d))
+    cases.append(_at_most("weight multiplier on plane waves, one axis", (w for w, _ in errs), tol, "max_err"))
+    cases.append(_at_most("spectral derivative on plane waves, one axis", (d for _, d in errs), tol, "max_err"))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
     order2 = multi_order((0.7, -1.1), (1, 1))
@@ -307,9 +317,7 @@ def _suite_spectral_exactness(seed: int, *, samples_per_axis=64, tol=1e-10):
         for k in [(0, 0), (3, -5), (10, 2)]
         for pw in [plane_wave(spec2, k)]
     ]
-    worst2 = max(0.0, *errs2)
-    label = "split-order weight multiplier on plane waves, two blocks"
-    cases.append(_case(label, _verdict(worst2 <= tol), max_err=worst2))
+    cases.append(_at_most("split-order weight multiplier on plane waves, two blocks", errs2, tol, "max_err"))
 
     sym_spec = _symbol_grid(32)
     space = make_grid(1, 32, period=sym_spec.period)
@@ -325,9 +333,7 @@ def _suite_spectral_exactness(seed: int, *, samples_per_axis=64, tol=1e-10):
         for k in (0, 2, -5)
         for vec in [plane_wave(space, [k]).samples.ravel()]
     ]
-    worst_q = max(0.0, *errs_q)
-    label = "quantized frequency multiplier on plane waves, all tau"
-    cases.append(_case(label, _verdict(worst_q <= tol), max_err=worst_q))
+    cases.append(_at_most("quantized frequency multiplier on plane waves, all tau", errs_q, tol, "max_err"))
     return cases, {}
 
 
@@ -343,14 +349,14 @@ def _suite_exact_identities(seed: int, *, samples_per_axis=128, count=8, tol=1e-
     order = multi_order(1.5, (1,))
     reps = [derivative_split_check(u, order, 0, tol=tol) for u in fields]
     label = "derivative norm split, single block"
-    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=max(0.0, *(r.rel_err for r in reps))))
+    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=_worst(r.rel_err for r in reps)))
 
     spec2 = make_grid(2, 32, blocks=(1, 1))
     order2 = multi_order((1.0, 2.0), (1, 1))
     fields2 = _fields(seed, 1, max(2, count // 2), spec2, kmax=8)
     reps = [derivative_split_check(u, order2, block, tol=tol) for u in fields2 for block in range(2)]
     label = "derivative norm split, both blocks of a split grid"
-    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=max(0.0, *(r.rel_err for r in reps))))
+    cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_rel_err=_worst(r.rel_err for r in reps)))
 
     part = build_partition(spec, 4)
     rep = retraction_roundtrip(fields[0], part, order, tol=tol)
@@ -358,16 +364,14 @@ def _suite_exact_identities(seed: int, *, samples_per_axis=128, count=8, tol=1e-
     cases.append(_case(label, _verdict(rep.passed), roundtrip_sup_err=rep.roundtrip_sup_err))
 
     syms = symbol_family("random", _symbol_grid(16), 1, multi_order((0.0, 0.0), (1, 1)), _child(seed, 2), 3)
-    worst_hs = max(0.0, *(hs_identity_gap(sym, tau) for sym in syms for tau in (0.0, 0.5, 1.0)))
-    label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau"
-    cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
+    gaps = [hs_identity_gap(sym, tau) for sym in syms for tau in (0.0, 0.5, 1.0)]
+    cases.append(_at_most("Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau", gaps, hs_tol, "max_gap"))
 
     sym_spec2 = make_grid(4, 12, period=self_dual_period(12), blocks=(2, 2))
     syms2 = symbol_family("random", sym_spec2, 2, multi_order((0.0, 0.0), (2, 2)), _child(seed, 3), 2)
     tau_mat = np.array([[0.5, 0.3], [0.0, 0.25]])
-    worst_hs2 = max(0.0, *(hs_identity_gap(sym, tau_mat) for sym in syms2))
-    label = "Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau"
-    cases.append(_case(label, _verdict(worst_hs2 <= hs_tol), max_gap=worst_hs2))
+    gaps2 = [hs_identity_gap(sym, tau_mat) for sym in syms2]
+    cases.append(_at_most("Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau", gaps2, hs_tol, "max_gap"))
     return cases, {}
 
 
@@ -383,7 +387,7 @@ def _suite_window_bound(seed: int, *, samples_per_axis=128, count=20):
     for mode, factor in (("window", chi), ("periodic", smooth)):
         reps = [product_bound_check(u, factor, order, mode=mode) for u in fields]
         label = f"{mode} multiplier bound over {count} fields"
-        worst = max(0.0, *(r.ratio for r in reps))
+        worst = _worst(r.ratio for r in reps)
         cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_ratio=worst, constant=reps[-1].constant))
     # a bounded smooth multiplier is a periodic one on the grid: the same check
     cases.append({**cases[-1], "label": f"bounded_smooth multiplier bound over {count} fields"})
@@ -398,7 +402,7 @@ def _suite_sobolev_product(seed: int, *, samples_per_axis=128, count=12):
     reps = [product_bound_check(u, v, params.s, mode="sobolev_pair", params=params) for u, v in pairs]
     label = f"pairwise product bound over {count} pairs, s=t=1"
     verdict = _verdict(all(r.passed for r in reps))
-    return [_case(label, verdict, max_ratio=max(0.0, *(r.ratio for r in reps)), constant=reps[-1].constant)], {}
+    return [_case(label, verdict, max_ratio=_worst(r.ratio for r in reps), constant=reps[-1].constant)], {}
 
 
 @_suite("twisted-periodization", "phase-twisted lattice periodizations occupy a single frequency coset")
@@ -455,7 +459,7 @@ def _suite_h_equals_k2(seed: int, *, resolutions=[128, 256], count=16, cells_per
         routes = [
             (h_equals_k2_ratio(u, order, part), lattice_decomposition_ratio(u, order=order, partition=part)) for u in fields
         ]
-        worst_gap = max(0.0, *(abs(amalgam - partition) / max(partition, 1e-300) for amalgam, partition in routes))
+        worst_gap = _worst(abs(amalgam - partition) / max(partition, 1e-300) for amalgam, partition in routes)
         bracket_ok = all(lower * (1.0 - 1e-9) <= amalgam <= upper * (1.0 + 1e-9) for amalgam, _ in routes)
         label = f"amalgam route equals partition route at {n_res} samples"
         verdict = _verdict(worst_gap <= agreement_tol and bracket_ok)
@@ -520,7 +524,7 @@ def _suite_embedding_chain(seed: int, *, samples_per_axis=128, count=10, p_value
     ]
     order_sup = multi_order(0.75, (1,))
     sups = [rl_sup_bound_check(u, order_sup) for u in fields]
-    worst = max(0.0, *(r.sup / max(r.weighted_bound, 1e-300) for r in sups))
+    worst = _worst(r.sup / max(r.weighted_bound, 1e-300) for r in sups)
     label = "sup norm through the spectrum bound, s=3/4"
     cases.append(_case(label, _verdict(all(r.passed for r in sups)), max_ratio=worst))
     return cases, {}
@@ -546,8 +550,8 @@ def _suite_retraction(seed: int, *, resolutions=[128, 256], count=8, cells_per_a
         spec = make_grid(1, n_res)
         part = build_partition(spec, cells_per_axis)
         reps = [retraction_roundtrip(u, part, order, tol=tol) for u in _fields(seed, n_res, count, spec)]
-        worst = max(0.0, *(r.roundtrip_sup_err for r in reps))
-        ratio = max(0.0, *(r.section_norm / max(r.reference_norm, 1e-300) for r in reps))
+        worst = _worst(r.roundtrip_sup_err for r in reps)
+        ratio = _worst(r.section_norm / max(r.reference_norm, 1e-300) for r in reps)
         label = f"section reassembly at {n_res} samples, {count} fields"
         cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_roundtrip_sup_err=worst, max_section_ratio=ratio))
     return cases, {}
@@ -729,9 +733,8 @@ def _suite_schatten(
             for name in ("gaussian", "separable", "random")
             for syms in [symbol_family(name, sym_spec, 1, order, _child(seed, n_res + zlib.crc32(name.encode()) % 1000), count)]
         ]
-        worst_hs = max(0.0, *(gap for _, gaps in families for gap in gaps))
         label = f"Hilbert-Schmidt identity across symbol families, {n_res} samples"
-        cases.append(_case(label, _verdict(worst_hs <= hs_tol), max_gap=worst_hs))
+        cases.append(_at_most(label, (gap for _, gaps in families for gap in gaps), hs_tol, "max_gap"))
 
         gaussian_ops = [quantize(sym, 0.5) for sym in families[0][0]]
         norms = [(schatten_norm(op, 1.0), schatten_norm(op, 2.0), schatten_norm(op, math.inf)) for op in gaussian_ops]
@@ -754,7 +757,7 @@ def _suite_schatten(
         sv_b = np.sort(operator_from_matrix(conj).singular_values())
         sv_gap = float(np.max(np.abs(sv_a - sv_b)) / max(float(sv_a[-1]), 1e-300))
         label = f"singular values invariant under grid reflection, {n_res} samples"
-        cases.append(_case(label, _verdict(sv_gap <= 1e-9), max_rel_gap=sv_gap))
+        cases.append(_at_most(label, [sv_gap], 1e-9, "max_rel_gap"))
 
     growth = identity_track[-1] / max(identity_track[0], 1e-300)
     expected_growth = math.sqrt(resolutions[-1] / resolutions[0])
@@ -803,7 +806,7 @@ def _suite_coordinate_change(seed: int, *, samples_per_axis=32, count=5, tol=1e-
     isometries = all_isometries(2)
     reps = [coordinate_change_check(u, b, iso, tol=tol) for u in fields for _, b in multipliers for iso in isometries]
     label = f"commutation over {len(isometries)} isometries and {len(multipliers)} multipliers"
-    cases = [_case(label, _verdict(all(r.passed for r in reps)), max_sup_err=max(0.0, *(r.sup_err for r in reps)))]
+    cases = [_case(label, _verdict(all(r.passed for r in reps)), max_sup_err=_worst(r.sup_err for r in reps))]
     cases.append(
         _refusal_case(
             "non-lattice rotation is refused",

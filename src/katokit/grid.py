@@ -562,23 +562,20 @@ def load_field(path: str | Path) -> Field:
         raise FieldFormatError(f"bad magic {magic!r}, expected {_MAGIC!r}")
     if version != _FORMAT_VERSION:
         raise FieldFormatError(f"unsupported format version {version}")
-    if dim < 1 or dim > _MAX_DIM:
-        raise FieldFormatError(f"dimension {dim} outside supported range 1..{_MAX_DIM}")
-    if n < 2 or n % 2 != 0:
-        raise FieldFormatError(f"samples per axis must be even and >= 2, got {n}")
-    if n**dim > _MAX_POINTS:
-        raise FieldFormatError(f"dimension overflow: {n}^{dim} samples exceed the supported size")
     offset = fixed
     if len(raw) < offset + 4 * j:
         raise FieldFormatError("truncated header: block list incomplete")
     blocks = struct.unpack_from(f"<{j}I", raw, offset)
     offset += 4 * j
-    expected = 16 * n**dim
+    try:
+        spec = GridSpec(dim, n, period, blocks)
+    except GridError as exc:
+        raise FieldFormatError(f"header describes no grid: {exc}") from exc
+    expected = 16 * spec.num_points
     if len(raw) - offset != expected:
         raise FieldFormatError(
             f"payload holds {len(raw) - offset} bytes, expected {expected} for {n}^{dim} complex samples"
         )
-    samples = np.frombuffer(raw, dtype="<c16", count=n**dim, offset=offset)
+    samples = np.frombuffer(raw, dtype="<c16", count=spec.num_points, offset=offset)
     require_finite(samples, f"field file {path}")
-    spec = GridSpec(dim, n, period, tuple(int(b) for b in blocks))
     return Field(spec, samples.reshape(spec.shape).astype(np.complex128))

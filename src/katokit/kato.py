@@ -99,7 +99,10 @@ class LatticeScheme:
 
 @dataclass(frozen=True, eq=False)
 class AmalgamNormSpec:
-    """Order, integrability p, window and translation scheme for one norm."""
+    """Order, integrability p, window and translation scheme for one norm.
+
+    A lattice scheme needs window coverage Psi = sum_gamma |tau_gamma chi|^2 > 0
+    on every sample, checked on one cell, where `_lattice_fold` sums |chi|^2 over Gamma."""
 
     order: MultiOrder
     p: float
@@ -110,6 +113,11 @@ class AmalgamNormSpec:
         if not (self.p >= 1.0):
             raise HypothesisError(f"p must satisfy p >= 1, got {self.p}")
         _check_order(self.window.spec, self.order)
+        if isinstance(self.scheme, LatticeScheme):
+            lattice_shifts(self.window.spec, self.scheme.cells_per_axis)  # refuses a count that does not divide N
+            psi = _lattice_fold(np.abs(self.window.field.samples) ** 2, self.scheme.cells_per_axis)
+            if float(np.min(psi)) <= 0.0:
+                raise HypothesisError("window coverage sum_gamma |tau_gamma chi|^2 vanishes somewhere on the torus")
 
 
 def amalgam_spec(
@@ -118,17 +126,8 @@ def amalgam_spec(
     window: Window,
     scheme: ContinuousScheme | LatticeScheme | None = None,
 ) -> AmalgamNormSpec:
-    """Validated constructor; lattice schemes must have strictly positive
-    window coverage Psi = sum_gamma |tau_gamma chi|^2 on every sample,
-    checked on one cell, where `_lattice_fold` sums |chi|^2 over Gamma."""
-    scheme = scheme or ContinuousScheme()
-    spec = AmalgamNormSpec(order, float(p), window, scheme)
-    if isinstance(scheme, LatticeScheme):
-        lattice_shifts(window.spec, scheme.cells_per_axis)  # refuses a count that does not divide N
-        psi = _lattice_fold(np.abs(window.field.samples) ** 2, scheme.cells_per_axis)
-        if float(np.min(psi)) <= 0.0:
-            raise HypothesisError("window coverage sum_gamma |tau_gamma chi|^2 vanishes somewhere on the torus")
-    return spec
+    """Validated constructor; the scheme defaults to the full translation grid."""
+    return AmalgamNormSpec(order, float(p), window, scheme or ContinuousScheme())
 
 
 def translation_shifts(

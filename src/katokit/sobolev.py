@@ -160,7 +160,6 @@ def periodic_multiplier_constant(chi: Field, order: MultiOrder) -> float:
     Every grid field is periodic, so this bound applies to any multiplier
     whose spectrum is summable against the |s| block weight.
     """
-    _check_order(chi.spec, order)
     w = weight_mesh(chi.spec, order.abs)
     coeffs = np.abs(to_spectrum(chi))
     return float(2.0 ** (0.5 * order.total_abs) * np.sum(w * coeffs))

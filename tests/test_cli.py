@@ -28,7 +28,7 @@ from katokit.grid import (
 )
 from katokit.weights import multi_order
 from katokit.sobolev import h_norm
-from katokit.psido import self_dual_period, symbol_l2_norm, make_symbol
+from katokit.psido import hs_identity_gap, self_dual_period, symbol_l2_norm, make_symbol
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,6 +119,19 @@ def test_compute_refuses_non_finite_sample(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "non-finite" in captured.err and "index 5" in captured.err
+
+
+def test_compute_refuses_a_header_that_describes_no_grid(tmp_path, capsys):
+    path = tmp_path / "negative-period.fld"
+    save_field(constant_field(make_grid(1, 16)), path)
+    raw = bytearray(path.read_bytes())
+    raw[16:24] = np.float64(-1.0).tobytes()  # the period, after magic, version, dim and N
+    path.write_bytes(bytes(raw))
+    rc = main(["compute", "l2", "--field", str(path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: header describes no grid: period must be positive and finite, got -1.0")
 
 
 @pytest.mark.parametrize(
@@ -550,6 +563,29 @@ def test_verify_exit_one_on_failed_assertion(tmp_path, capsys):
     rc = main(["verify", "spectral-exactness", "--config", str(cfg), "--out", str(tmp_path / "r")])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_nan_gap_fails_its_gate(tmp_path, monkeypatch):
+    # a NaN gap among finite ones is the worst value, and it fails the gate
+    calls = []
+
+    def second_call_nan(sym, tau):
+        calls.append(tau)
+        return math.nan if len(calls) == 2 else hs_identity_gap(sym, tau)
+
+    monkeypatch.setattr(cli, "hs_identity_gap", second_call_nan)
+    out = tmp_path / "r"
+    rc = main(["verify", "exact-identities", "--out", str(out), "--seed", "7"])
+    assert rc == 1
+    cases = {c["label"]: c for c in json.loads((out / "exact-identities.json").read_text())["cases"]}
+    scalar = cases["Hilbert-Schmidt norm equals scaled symbol l2 norm, scalar tau"]
+    assert (scalar["verdict"], scalar["max_gap"]) == ("FAIL", "nan")
+    assert cases["Hilbert-Schmidt norm equals scaled symbol l2 norm, matrix tau"]["verdict"] == "PASS"
+
+
+def test_nan_drift_reads_inconclusive():
+    case = cli._stability_case("x", [1.0, 2.0], [1.0, math.nan], 0.1)
+    assert case["verdict"] == "INCONCLUSIVE" and math.isnan(case["max_rel_drift"])
 
 
 def test_verify_reports_are_deterministic(tmp_path):

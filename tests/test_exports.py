@@ -99,3 +99,56 @@ def test_calculus_measures_the_range_distance_once():
     assert _calls_by_function(Path(katokit.__file__).resolve().parent / "calculus.py", "complement_distance") == [
         "_range_distance"
     ]
+
+
+def test_calderon_apply_stacks_its_fields_once():
+    # the public range measures stack their fields; the contour measures the stack it has
+    assert _calls_by_function(Path(katokit.__file__).resolve().parent / "calculus.py", "range_diameter") == []
+
+
+def _scopes_holding(path, matches):
+    """Qualified names of the functions and classes in `path` that directly hold a node `matches` accepts."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if matches(child):
+                found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    visit(ast.parse(path.read_text()), "")
+    return sorted(found)
+
+
+def test_suites_take_every_worst_value_through_one_rule():
+    # max(0.0, *values) drops a NaN that is not first; `_worst` keeps it
+    def zero_first_max(node):
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "max"
+            and bool(node.args)
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == 0.0
+        )
+
+    path = Path(katokit.__file__).resolve().parent / "cli.py"
+    assert _scopes_holding(path, zero_first_max) == []
+
+
+def test_only_the_norm_spec_judges_lattice_coverage():
+    # every AmalgamNormSpec, however built, has Gamma-translates that cover the torus
+    def folds(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_lattice_fold"
+
+    path = Path(katokit.__file__).resolve().parent / "kato.py"
+    assert _scopes_holding(path, folds) == ["AmalgamNormSpec.__post_init__"]
+
+
+def test_only_the_grid_spec_reads_the_size_limits():
+    # a stored header is judged by GridSpec's gates, not by copies of them
+    def reads_limit(node):
+        return isinstance(node, ast.Name) and node.id in ("_MAX_DIM", "_MAX_POINTS") and isinstance(node.ctx, ast.Load)
+
+    path = Path(katokit.__file__).resolve().parent / "grid.py"
+    assert _scopes_holding(path, reads_limit) == ["GridSpec.__post_init__"]

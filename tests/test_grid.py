@@ -6,6 +6,7 @@ leans on the spectral round trip.
 """
 
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -469,6 +470,26 @@ def test_load_rejects_non_finite_sample(tmp_path, value):
     save_field(Field(spec, samples), path)
     with pytest.raises(FieldFormatError, match="non-finite sample.*index 52"):
         load_field(path)
+
+
+def write_field_file(path, dim, n, period, blocks):
+    """A field file whose header holds these values verbatim, with n^dim samples of one."""
+    header = struct.pack("<4sIIIdI", b"FLD1", 1, dim, n, period, len(blocks)) + struct.pack(f"<{len(blocks)}I", *blocks)
+    path.write_bytes(header + np.ones(n**dim, dtype="<c16").tobytes())
+    return path
+
+
+@pytest.mark.parametrize(
+    "dim, n, period, blocks",
+    [(0, 16, 1.0, ()), (1, 15, 1.0, ()), (1, 16, np.nan, ()), (1, 16, -1.0, ()), (2, 16, 1.0, (3,))],
+    ids=["dim-0", "odd-n", "period-nan", "period-negative", "blocks-3-on-2d"],
+)
+def test_load_refuses_a_header_that_describes_no_grid(tmp_path, dim, n, period, blocks):
+    # the grid's own gates judge a stored header, and their refusal is a format error
+    path = write_field_file(tmp_path / "bad.fld", dim, n, period, blocks)
+    with pytest.raises(FieldFormatError, match="^header describes no grid: ") as caught:
+        load_field(path)
+    assert isinstance(caught.value.__cause__, GridError)
 
 
 @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, -np.inf)])

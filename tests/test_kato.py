@@ -36,6 +36,7 @@ from katokit.sobolev import build_partition, h_norm, lattice_decomposition_ratio
 from katokit import kato
 from katokit.psido import sw_norm
 from katokit.kato import (
+    AmalgamNormSpec,
     ContinuousScheme,
     LatticeScheme,
     amalgam_spec,
@@ -144,6 +145,16 @@ def test_translation_shifts_refuse_bad_counts(scheme):
         translation_shifts(spec, scheme)
     with pytest.raises(ShapeError, match="positive divisor"):
         kato_norm(constant_field(spec), amalgam_spec(multi_order(1.0, (1,)), 2.0, default_window(spec), scheme))
+
+
+@pytest.mark.parametrize("build", [amalgam_spec, AmalgamNormSpec], ids=["amalgam_spec", "AmalgamNormSpec"])
+def test_lattice_spec_refuses_a_window_whose_translates_leave_a_gap(build):
+    # translates of a window on (0.5, 1) by the four-cell lattice leave gaps on
+    # the torus: the lattice sum is then no norm, however the spec is built
+    spec = make_grid(1, 128)
+    window = make_bump(spec, [(0.5, 1.0)])
+    with pytest.raises(HypothesisError, match=r"^window coverage .* vanishes somewhere on the torus$"):
+        build(multi_order(1.0, (1,)), 2.0, window, LatticeScheme(4))
 
 
 def norms_one_shift_at_a_time(u, chi, shifts, order):
