@@ -336,12 +336,12 @@ def check_partial_consistency(fn: HoloFn, seed: int = 0) -> PartialReport:
         return PartialReport(0.0, 0, True, True)
     rng = np.random.default_rng(seed)
     z = np.stack([_sample_domain(dom, rng, _PARTIAL_POINTS) for dom in fn.domain])
-    worst = 0.0
+    rels = []
     for k in range(fn.arity):
         analytic = np.asarray(fn.partials[k](z))
         numeric = _symmetric_difference(fn.evaluate, k, z)
-        rel = np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1.0)
-        worst = max(worst, float(np.max(rel)))
+        rels.append(np.max(np.abs(numeric - analytic) / np.maximum(np.abs(analytic), 1.0)))
+    worst = float(np.max(rels))
     return PartialReport(worst, _PARTIAL_POINTS, worst <= 1e-6, False)
 
 
@@ -374,7 +374,6 @@ def _range_distance(values: np.ndarray, domain: Sequence[DomainPart]) -> float:
     """`range_distance` of the stacked samples, one row per domain factor."""
     if values.shape[0] != len(domain):
         raise ShapeError("need one domain factor per field")
-    dist = math.inf
     for k, dom in enumerate(domain):
         ok = np.isfinite(values[k]) & dom.contains(values[k])
         if not bool(np.all(ok)):
@@ -386,23 +385,19 @@ def _range_distance(values: np.ndarray, domain: Sequence[DomainPart]) -> float:
                 f"{bad.shape[0]} samples of field {k} leave the domain {dom!r}; first offenders "
                 f"(index, value): {preview}"
             )
-        dist = min(dist, float(np.min(dom.complement_distance(values[k]))))
-    return dist
+    return float(np.min([np.min(dom.complement_distance(row)) for row, dom in zip(values, domain)]))
 
 
 def range_diameter(fields: Sequence[Field]) -> float:
-    """Bounding-box diagonal of the sampled range, maxed over coordinates."""
+    """Bounding-box diagonal of the sampled range, maxed over coordinates; refuses a non-finite sample."""
+    for k, field in enumerate(fields):
+        require_finite(field.samples, f"fields[{k}]")
     return _range_diameter(_stack_values(fields))
 
 
 def _range_diameter(values: np.ndarray) -> float:
     """`range_diameter` of the stacked samples."""
-    diam = 0.0
-    for k in range(values.shape[0]):
-        re = np.real(values[k])
-        im = np.imag(values[k])
-        diam = max(diam, math.hypot(float(np.ptp(re)), float(np.ptp(im))))
-    return diam
+    return float(np.max([math.hypot(float(np.ptp(row.real)), float(np.ptp(row.imag))) for row in values]))
 
 
 # The contour geometry.  The margin radius r is an eighth of the range's
@@ -840,7 +835,7 @@ def chain_rule_check(fields: Sequence[Field], fn: HoloFn) -> ChainRuleReport:
             rhs += parts[k] * spectral_derivative(fields[k], axis).samples
         den = max(l2_norm(Field(spec, rhs)), 1e-300)
         rels.append(l2_norm(Field(spec, lhs - rhs)) / den)
-    worst = max(rels)
+    worst = float(np.max(rels))
     return ChainRuleReport(tuple(rels), worst, worst <= 1e-6)
 
 
@@ -932,7 +927,7 @@ def composite_continuity_check(
         smoothed = _stack_values([mollify(f, moll) for f in fields])
         _range_distance(smoothed, fn.domain)
         gaps.append(float(np.max(np.abs(np.asarray(fn.evaluate(smoothed)) - direct))))
-    scale = max(max(gaps), 1e-300)
+    scale = max(float(np.max(gaps)), 1e-300)
     mono = all(
         gaps[i + 1] <= gaps[i] * (1.0 + _MONOTONE_SLACK) + _MONOTONE_SLACK * scale
         for i in range(len(gaps) - 1)

@@ -441,7 +441,8 @@ def _suite_lattice_decomposition(seed: int, *, resolutions=[128, 256], count=50,
         ok = all(lower * (1.0 - 1e-9) <= r <= upper * (1.0 + 1e-9) for r in ratios)
         per_res.append(ratios)
         label = f"two-sided bracket at {n_res} samples, {count} fields"
-        cases.append(_case(label, _verdict(ok), min_ratio=min(ratios), max_ratio=max(ratios), lower=lower, upper=upper))
+        low, high = float(np.min(ratios)), float(np.max(ratios))
+        cases.append(_case(label, _verdict(ok), min_ratio=low, max_ratio=high, lower=lower, upper=upper))
     label = "per-sample ratio stability when the same fields are refined"
     cases.append(_stability_case(label, per_res[0], per_res[-1], stability_rtol))
     return cases, {}

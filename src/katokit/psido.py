@@ -38,6 +38,7 @@ from .grid import Field, GridSpec, Window, _along, frequency_mesh, from_spectrum
 from .kato import (
     ContinuousScheme,
     LatticeScheme,
+    _RatioReport,
     _spectra_blocks,
     _translation_power,
     amalgam_spec,
@@ -268,9 +269,7 @@ def sw_norm(u: Field, p: float, window: Window, points_per_axis: int | None = No
 
 
 @dataclass(frozen=True)
-class SwEmbeddingReport:
-    ratios: tuple[float, ...]
-    max_ratio: float
+class SwEmbeddingReport(_RatioReport):
     reference_product: float
 
 
@@ -310,7 +309,7 @@ def sw_embedding_check(
         num = sw_norm(u, p, chi, points_per_axis)
         den = chi_norm * weight_integral * kato_norm(u, amalgam_spec(order, p, chi_tilde, scheme))
         ratios.append(num / max(den, 1e-300))
-    return SwEmbeddingReport(tuple(ratios), max(ratios), chi_norm * weight_integral)
+    return SwEmbeddingReport(tuple(ratios), chi_norm * weight_integral)
 
 
 @dataclass(frozen=True)
@@ -318,9 +317,15 @@ class DilationReport:
     factor: int
     ratios_volume_exponent: tuple[float, ...]
     ratios_root_exponent: tuple[float, ...]
-    max_volume: float
-    max_root: float
     identity_ratio: float
+
+    @property
+    def max_volume(self) -> float:
+        return float(np.max(self.ratios_volume_exponent))
+
+    @property
+    def max_root(self) -> float:
+        return float(np.max(self.ratios_root_exponent))
 
 
 def dilation_ratio_check(
@@ -368,8 +373,6 @@ def dilation_ratio_check(
         factor=factor,
         ratios_volume_exponent=tuple(vol_ratios),
         ratios_root_exponent=tuple(root_ratios),
-        max_volume=max(vol_ratios),
-        max_root=max(root_ratios),
         identity_ratio=identity_ratio,
     )
 
@@ -480,9 +483,7 @@ def coordinate_change_check(
 
 
 @dataclass(frozen=True)
-class SchattenBoundReport:
-    ratios: tuple[float, ...]
-    max_ratio: float
+class SchattenBoundReport(_RatioReport):
     p: float
 
 
@@ -511,7 +512,7 @@ def schatten_bound_check(
         num = schatten_norm(quantize(sym, tau), p)
         den = kato_norm(sym.field, amalgam_spec(sym.order, p, window, scheme))
         ratios.append(num / max(den, 1e-300))
-    return SchattenBoundReport(tuple(ratios), max(ratios), float(p))
+    return SchattenBoundReport(tuple(ratios), float(p))
 
 
 @dataclass(frozen=True)
@@ -534,7 +535,7 @@ def tau_sweep_check(symbol: Symbol, p: float) -> TauSweepReport:
     """
     ops = [quantize(symbol, t) for t in _TAU_SWEEP]
     gaps = [schatten_norm(operator_from_matrix(op.entries - ops[0].entries), p) for op in ops]
-    scale = max(max(gaps), 1e-300)
+    scale = max(float(np.max(gaps)), 1e-300)
     mono = all(
         gaps[i + 1] >= gaps[i] * (1.0 - _SWEEP_SLACK) - _SWEEP_SLACK * scale
         for i in range(len(gaps) - 1)

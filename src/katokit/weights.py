@@ -171,7 +171,7 @@ def peetre_check(
             raise HypothesisError(f"{name} must be finite and >= {low}, got {value}")
     rng = np.random.default_rng(seed)
     remaining = int(samples)
-    worst = 0.0
+    batch_worst = []
     while remaining > 0:
         batch = min(remaining, 20_000)
         remaining -= batch
@@ -187,8 +187,8 @@ def peetre_check(
         spread = rng.uniform(0.1, scale, size=(batch, 1))
         xi = rng.standard_normal((batch, dim)) * spread
         eta = rng.standard_normal((batch, dim)) * rng.uniform(0.1, scale, size=(batch, 1))
-        ratios = peetre_ratio(xi, eta, order)
-        worst = max(worst, float(np.max(ratios)))
+        batch_worst.append(np.max(peetre_ratio(xi, eta, order)))
+    worst = float(np.max(batch_worst))
     return PeetreReport(samples=int(samples), max_ratio=worst, passed=worst <= 1.0 + 1e-12)
 
 
@@ -360,7 +360,7 @@ def weight_conv_check(
     ratios: list[float] = []
     consts: list[float] = []
     empirical: list[float] = []
-    worst_tail = 0.0
+    tails: list[float] = []
     for block in range(params.s.j):
         n_l = params.blocks[block]
         s_l, t_l = params.s.s[block], params.t.s[block]
@@ -379,15 +379,15 @@ def weight_conv_check(
         use_step = step if n_l == 1 else max(step, 0.1)
         vals = _truncated_convolution(s_l, t_l, n_l, box, use_step, probe_pts)
         vals_wide = _truncated_convolution(s_l, t_l, n_l, 1.5 * box, use_step, probe_pts)
-        tail = float(np.max(np.abs(vals_wide - vals) / np.maximum(np.abs(vals_wide), 1e-300)))
-        worst_tail = max(worst_tail, tail)
+        tails.append(float(np.max(np.abs(vals_wide - vals) / np.maximum(np.abs(vals_wide), 1e-300))))
         target = (1.0 + probe_norm_sq) ** (-sigma[block])
         block_ratios = vals_wide / (c_l * target)
         ratios.append(float(np.max(block_ratios)))
         consts.append(c_l)
         empirical.append(float(np.max(vals_wide / target)))
-    max_ratio = max(ratios)
-    if worst_tail > 0.01:
+    max_ratio = float(np.max(ratios))
+    worst_tail = float(np.max(tails))
+    if not worst_tail <= 0.01:
         verdict = "INCONCLUSIVE"
     elif max_ratio <= 1.05:
         verdict = "PASS"

@@ -606,6 +606,16 @@ def test_divide_refuses_non_finite_samples_naming_the_argument(argument, bad):
         divide(args["u"], args["v"], args["cutoff"], c=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_range_diameter_refuses_a_non_finite_sample(bad):
+    # a non-finite sample has no range to measure: it is refused, naming its field
+    spec, u = cosine_field()
+    samples = np.array(u.samples, dtype=complex)
+    samples[4] = bad
+    with pytest.raises(NonFiniteError, match=r"^fields\[1\]: 1 non-finite sample\(s\), the first at flat index 4"):
+        range_diameter([u, Field(spec, samples)])
+
+
 def test_invert_refuses_a_non_finite_sample():
     spec, u = cosine_field()
     samples = np.array(u.samples, dtype=complex)
@@ -703,6 +713,15 @@ def test_partial_consistency_samples_inside_a_domain_with_a_hole(fn):
     report = check_partial_consistency(dataclasses.replace(fn, partials=(inside_only,)))
     assert report.passed and not report.skipped and report.points > 0
     assert not check_partial_consistency(dataclasses.replace(fn, partials=(lambda z: -partial(z),))).passed
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_partial_consistency_fails_on_a_nan_partial(k):
+    # a NaN partial is the worst error, wherever it sits, and fails the check
+    partials = [lambda z: z[1], lambda z: z[0]]
+    partials[k] = lambda z: np.full(np.shape(z[0]), np.nan)
+    report = check_partial_consistency(HoloFn(2, lambda z: z[0] * z[1], entire_domain(2), tuple(partials)))
+    assert not report.passed and math.isnan(report.max_rel_err)
 
 
 # ---------------------------------------------------------------------------

@@ -588,6 +588,48 @@ def test_nan_drift_reads_inconclusive():
     assert case["verdict"] == "INCONCLUSIVE" and math.isnan(case["max_rel_drift"])
 
 
+def test_window_bracket_reads_a_nan_ratio_inconclusive(monkeypatch):
+    # the bracket is judged on the report's extremes, which keep a NaN ratio
+    calls = []
+    original = kato.kato_norm
+
+    def third_call_nan(field, norm_spec):
+        calls.append(field)
+        return math.nan if len(calls) == 3 else original(field, norm_spec)
+
+    monkeypatch.setattr(kato, "kato_norm", third_call_nan)
+    cases, _ = cli._suite_window_independence(7, count=4, p_values=[2.0])
+    case = cases[0]
+    assert case["label"] == "window quotient bracket, p=2, 128 samples"
+    assert case["verdict"] == "INCONCLUSIVE" and math.isnan(case["min_ratio"]) and math.isnan(case["max_ratio"])
+
+
+def test_lattice_decomposition_range_keeps_a_nan_ratio(monkeypatch):
+    calls = []
+    original = cli.lattice_decomposition_ratio
+
+    def second_call_nan(u, part, order):
+        calls.append(u)
+        return math.nan if len(calls) == 2 else original(u, part, order)
+
+    monkeypatch.setattr(cli, "lattice_decomposition_ratio", second_call_nan)
+    cases, _ = cli._suite_lattice_decomposition(7, count=4)
+    case = cases[0]
+    assert case["label"] == "two-sided bracket at 128 samples, 4 fields"
+    assert case["verdict"] == "FAIL" and math.isnan(case["min_ratio"]) and math.isnan(case["max_ratio"])
+
+
+def test_verify_peetre_fails_when_the_weights_overflow(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"peetre": {"samples": 1000, "scale": 1e200}}}))
+    out = tmp_path / "r"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["verify", "peetre", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    (case,) = json.loads((out / "peetre.json").read_text())["cases"]
+    assert (case["verdict"], case["max_ratio"]) == ("FAIL", "nan")
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     rc_a = main(["verify", "spectral-exactness", "--out", str(tmp_path / "a"), "--seed", "11"])
     rc_b = main(["verify", "spectral-exactness", "--out", str(tmp_path / "b"), "--seed", "11"])

@@ -136,6 +136,23 @@ def test_suites_take_every_worst_value_through_one_rule():
     assert _scopes_holding(path, zero_first_max) == []
 
 
+def test_no_builtin_extreme_runs_over_computed_values():
+    # min and max over an iterable, or folded into a running name, drop a NaN
+    # that is not first; numpy's reductions keep it.  Two-operand floors stay.
+    def builtin_extreme(node):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("min", "max"):
+            return len(node.args) == 1 or any(isinstance(a, ast.Starred) for a in node.args)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            targets = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            return getattr(node.value.func, "id", None) in ("min", "max") and any(
+                isinstance(a, ast.Name) and a.id in targets for a in node.value.args
+            )
+        return False
+
+    found = {path.name: _scopes_holding(path, builtin_extreme) for path in SOURCES}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {}
+
+
 def test_only_the_norm_spec_judges_lattice_coverage():
     # every AmalgamNormSpec, however built, has Gamma-translates that cover the torus
     def folds(node):

@@ -510,6 +510,24 @@ def test_window_ratio_two_bumps_bounded_band():
     assert report.max_ratio < 50.0
 
 
+def overflowing_ensemble(spec):
+    """[1 + cos x, 1e300 (1 + cos x)]: finite samples, but the second field's norms overflow."""
+    u = field_from_values(spec, 1.0 + np.cos(coordinate_axes(spec)[0]))
+    return [u, Field(spec, 1e300 * u.samples)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf])
+def test_window_ratio_extremes_keep_a_nan_ratio(p):
+    # the builtin min and max drop a NaN that is not first; the report's
+    # extremes come from the ratios it stores, and keep it
+    spec = make_grid(1, 128)
+    other = make_bump(spec, [(0.1 * TWO_PI, 0.65 * TWO_PI)], [(0.25 * TWO_PI, 0.45 * TWO_PI)])
+    report = window_ratio_check(overflowing_ensemble(spec), multi_order(1.0, (1,)), p, default_window(spec), other)
+    assert math.isfinite(report.ratios[0]) and math.isnan(report.ratios[1])
+    assert math.isnan(report.min_ratio) and math.isnan(report.max_ratio)
+
+
 # ---------------------------------------------------------------------------
 # lattice exponent and order chains
 
@@ -615,6 +633,15 @@ def test_product_random_pairs_under_reference_constant():
     pairs = [(rng_field(spec, 130 + i), rng_field(spec, 170 + i)) for i in range(20)]
     report = kato_product_check(pairs, params, 2.0, 2.0, chi)
     assert report.max_ratio <= report.reference_constant * 1.05
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_product_max_keeps_a_nan_ratio():
+    spec = make_grid(1, 128)
+    u, big = overflowing_ensemble(spec)
+    params = sigma_params(1.0, 1.0, 0.25, (1,))
+    report = kato_product_check([(u, u), (big, u)], params, 2.0, 2.0, default_window(spec))
+    assert math.isfinite(report.ratios[0]) and math.isnan(report.max_ratio)
 
 
 def test_product_rejects_bad_exponents():
@@ -746,6 +773,16 @@ def test_rate_young_gate_fails_when_smoothing_raises_the_windowed_norm(monkeypat
     original = kato.kato_norm
     monkeypatch.setattr(kato, "kato_norm", lambda f, s: original(f, s) * (1.0 if f is u else 2.0))
     assert not mollifier_rate_check(*args, window=default_window(spec)).young_ok
+
+
+def test_rate_young_gate_fails_on_a_nan_windowed_norm(monkeypatch):
+    # a NaN norm of a smoothed field shows no bound, so the gate fails
+    spec = make_grid(1, 256)
+    order = multi_order(1.0, (1,))
+    u = rng_field(spec, 150)
+    original = kato.kato_norm
+    monkeypatch.setattr(kato, "kato_norm", lambda f, s: original(f, s) if f is u else math.nan)
+    assert not mollifier_rate_check(u, order, order, [0.4, 0.2], window=default_window(spec)).young_ok
 
 
 @pytest.mark.parametrize("epsilons", [[0.4], [0.4, 0.4]])

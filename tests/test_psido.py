@@ -348,6 +348,25 @@ def test_schatten_bound_ratios_recorded():
     assert report.max_ratio < 10.0
 
 
+def test_schatten_bound_max_keeps_a_nan_ratio(monkeypatch):
+    # the builtin max drops a NaN that is not first; the report's max comes
+    # from the ratios it stores, and keeps it
+    n_samp = 16
+    spec = make_grid(2, n_samp, period=self_dual_period(n_samp), blocks=(1, 1))
+    order = multi_order((2.0, 2.0), (1, 1))
+    syms = symbol_family("gaussian", spec, 1, order, seed=3, count=3, center_box=(1.5, 5.5), width_range=(0.5, 0.9))
+    window = make_bump(spec, [(1.0, 9.0)] * 2, [(3.0, 7.0)] * 2)
+    calls = []
+
+    def second_call_nan(field, norm_spec):
+        calls.append(field)
+        return math.nan if len(calls) == 2 else kato.kato_norm(field, norm_spec)
+
+    monkeypatch.setattr(psido, "kato_norm", second_call_nan)
+    report = schatten_bound_check(syms, 1.0, 0.5, window, ContinuousScheme(8))
+    assert math.isnan(report.ratios[1]) and math.isnan(report.max_ratio)
+
+
 def test_schatten_bound_refuses_low_order():
     spec = symbol_grid(16)
     sym = random_symbol(spec, 2, multi_order((0.5, 0.5), (1, 1)))
@@ -513,6 +532,22 @@ def test_sw_embedding_ratios_bounded():
     assert report.reference_product > 0.0
 
 
+def overflowing_ensemble(spec):
+    """[1 + cos x, 1e300 (1 + cos x)]: finite samples, but the second field's norms overflow."""
+    u = field_from_values(spec, 1.0 + np.cos(coordinate_axes(spec)[0]))
+    return [u, Field(spec, 1e300 * u.samples)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sw_embedding_max_keeps_a_nan_ratio():
+    spec = make_grid(1, 128)
+    chi = make_bump(spec, [(0.5, 2.5)], [(1.0, 2.0)])
+    chi_tilde = make_bump(spec, [(0.1, 2.9)], [(0.45, 2.55)])
+    fields = overflowing_ensemble(spec)
+    report = sw_embedding_check(fields, multi_order(1.5, (1,)), 2.0, chi, chi_tilde, points_per_axis=32)
+    assert math.isfinite(report.ratios[0]) and math.isnan(report.max_ratio)
+
+
 def test_sw_embedding_requires_integrable_weight():
     spec = make_grid(1, 128)
     chi = make_bump(spec, [(0.5, 2.5)], [(1.0, 2.0)])
@@ -539,6 +574,15 @@ def test_dilation_identity_ratio():
     assert report.identity_ratio == pytest.approx(0.5)
     assert all(np.isfinite(report.ratios_volume_exponent))
     assert all(np.isfinite(report.ratios_root_exponent))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dilation_maxima_keep_a_nan_ratio():
+    spec = make_grid(1, 64)
+    chi = make_bump(spec, [(1.0, 5.0)], [(2.0, 4.0)])
+    report = dilation_ratio_check(overflowing_ensemble(spec), 2.0, chi, factor=2, points_per_axis=16)
+    assert math.isfinite(report.ratios_volume_exponent[0]) and math.isfinite(report.ratios_root_exponent[0])
+    assert math.isnan(report.max_volume) and math.isnan(report.max_root)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from katokit import weights
 from katokit.errors import HypothesisError, ShapeError
 from katokit.weights import (
     _truncated_convolution,
@@ -105,6 +106,14 @@ def test_peetre_sweep_never_exceeds_one():
     assert report.passed
     assert report.max_ratio <= 1.0 + 1e-12
     assert report.samples == 100000
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_peetre_sweep_fails_when_the_weights_overflow():
+    # at a spread of 1e200 the weights overflow and the quotients read NaN,
+    # which no batch's worst value may drop
+    report = peetre_check(samples=1000, seed=0, scale=1e200)
+    assert not report.passed and math.isnan(report.max_ratio)
 
 
 @pytest.mark.parametrize(
@@ -201,6 +210,18 @@ def test_conv_check_symmetric_case_passes():
     report = weight_conv_check(params, box=24.0, step=0.05, probes_per_block=17)
     assert report.verdict == "PASS"
     assert report.max_ratio <= 1.05
+
+
+def test_conv_check_nan_tail_is_inconclusive(monkeypatch):
+    # a NaN on the narrow box leaves the truncation tail unmeasured
+    original = weights._truncated_convolution
+
+    def narrow_nan(s, t, n, box, step, probes):
+        return original(s, t, n, box, step, probes) * (math.nan if box == 24.0 else 1.0)
+
+    monkeypatch.setattr(weights, "_truncated_convolution", narrow_nan)
+    report = weight_conv_check(sigma_params(1.0, 1.0, 0.25, (1,)), box=24.0, step=0.05, probes_per_block=17)
+    assert report.verdict == "INCONCLUSIVE" and math.isnan(report.tail_fraction)
 
 
 def test_conv_value_at_origin_degenerate_first_factor():
