@@ -934,6 +934,8 @@ def _load_config(path: str | None) -> dict:
             if _typed(value, defaults[key]) is None:
                 default = json.dumps(_jsonable(defaults[key]))
                 raise _UsageError(f"option {key!r} of suite {sid!r} must have the type of its default {default}, got {value!r}")
+            if (key == "tol" or key.endswith(("_tol", "_rtol"))) and value < 0:
+                raise _UsageError(f"option {key!r} of suite {sid!r} is a tolerance and must be >= 0, got {value!r}")
     return cfg
 
 

@@ -85,11 +85,14 @@ def critical_sample(
 ) -> SpectralSample:
     """Random phases with |c_k| = <k>^{-(s + dim/2 + delta)}.
 
-    Lies in H^s with barely-summable margin delta, so smoothing-error decay
-    rates are realized at their stated exponents instead of saturating.
+    Lies in H^s with a barely-summable margin delta, which must be positive,
+    so smoothing-error decay rates are realized at their stated exponents
+    instead of saturating.
     """
     if kmax < 1:
         raise HypothesisError(f"kmax must be >= 1, got {kmax}")
+    if not delta > 0.0:
+        raise HypothesisError(f"delta must be > 0, got {delta}")
     shape = (2 * kmax + 1,) * dim
     mags = (1.0 + _centered_norms(kmax, dim) ** 2) ** (-(s + dim / 2.0 + delta) / 2.0)
     phases = np.exp(2j * math.pi * rng.uniform(size=shape))

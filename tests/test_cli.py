@@ -802,3 +802,52 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("seed", [7, 12])
+def test_verify_mollifier_rate_decides_every_young_check_from_the_bracket(tmp_path, monkeypatch, seed):
+    # at N=1024 the sub-lattice bracket decides all 168 checks: no full-grid sup norm is taken
+    full_grid = []
+    original = kato.kato_norm
+
+    def spy(field, norm_spec):
+        if math.isinf(norm_spec.p) and norm_spec.scheme.points_per_axis in (None, field.spec.samples_per_axis):
+            full_grid.append(field)
+        return original(field, norm_spec)
+
+    monkeypatch.setattr(kato, "kato_norm", spy)
+    assert main(["verify", "mollifier-rate", "--out", str(tmp_path / "r"), "--seed", str(seed)]) == 0
+    assert full_grid == []
+
+
+@pytest.mark.parametrize(
+    "suite, option, value",
+    [
+        ("mollifier-rate", "slope_tol", -1.0),
+        ("lattice-decomposition", "stability_rtol", -1.0),
+        ("spectral-exactness", "tol", -1e-10),
+        ("h-equals-k2", "agreement_tol", -1.0),
+        ("exact-identities", "hs_tol", -1.0),
+    ],
+)
+def test_verify_refuses_a_negative_tolerance(tmp_path, capsys, suite, option, value):
+    # no value lies within a negative distance of another: refused while the
+    # config is read, before any suite runs, not read as FAIL or INCONCLUSIVE
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {suite: {option: value}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", suite, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"option {option!r} of suite {suite!r} is a tolerance and must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_margin_that_leaves_no_critical_field(tmp_path, capsys):
+    # delta <= 0 leaves the ensemble no margin of regularity to be critical with: refused by the library, by name
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"mollifier-rate": {"delta": -1.0}}}))
+    out = tmp_path / "r"
+    rc = main(["verify", "mollifier-rate", "--config", str(cfg), "--out", str(out), "--seed", "7"])
+    assert rc == 2
+    assert "error: mollifier-rate: delta must be > 0" in capsys.readouterr().err
+    assert json.loads((out / "summary.json").read_text())["errors"] == {"mollifier-rate": "HypothesisError"}

@@ -6,6 +6,7 @@ translate, combine with the quadrature weight.  Everything else builds on
 that agreement.
 """
 
+import dataclasses
 import functools
 import math
 
@@ -23,10 +24,12 @@ from katokit.grid import (
     coordinate_axes,
     field_from_values,
     from_spectrum,
+    lattice_shifts,
     make_bump,
     make_grid,
     make_mollifier,
     mollifier_kernel,
+    mollify,
     plane_wave,
     window_from_factors,
     window_from_samples,
@@ -809,3 +812,146 @@ def test_rate_requires_order_domination():
             [0.2],
             window=default_window(spec),
         )
+
+
+def test_rate_refuses_a_field_of_zero_norm():
+    # a zero field has no error to decay: refused by name, not answered with slope=nan
+    spec = make_grid(1, 256)
+    order = multi_order(1.0, (1,))
+    with pytest.raises(HypothesisError, match=r"^field has zero H\^s norm"):
+        mollifier_rate_check(constant_field(spec, 0.0), order, order, [0.4, 0.2], window=default_window(spec))
+
+
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_critical_ensemble_refuses_a_margin_that_is_not_positive(delta):
+    with pytest.raises(HypothesisError, match=r"^delta must be > 0"):
+        critical_ensemble(7, 1, 1, 10, 1.0, delta=delta)
+
+
+# ---------------------------------------------------------------------------
+# sup bracket of the Young check
+
+
+def narrow_window(spec):
+    half = spec.period / 2
+    return make_bump(spec, [(half - 0.1, half + 0.1)] * spec.dim)
+
+
+def squared_window(spec):
+    """The default window squared, known by its samples only."""
+    return window_from_samples(Field(spec, default_window(spec).field.samples ** 2))
+
+
+def critical_field(spec, kmax, s=1.0):
+    return realize_ensemble(critical_ensemble(7, 1, spec.dim, kmax, s, delta=0.02), spec)[0]
+
+
+def assert_bracket_holds(field, order, window):
+    """lower <= the full-grid p = inf norm <= upper; the interpolated max of
+    sqrt(g_J) is the max of the truncated window's norms on every shift; and
+    T bounds the residual window's norms on every shift."""
+    spec = field.spec
+    bracket = kato._sup_bracket(order, window)
+    full = kato_norm(field, amalgam_spec(order, math.inf, window))
+    assert kato_norm(field, bracket.sub) <= full <= bracket.upper(field)
+    shifts = lattice_shifts(spec, spec.samples_per_axis)
+    direct = windowed_norms(field, bracket.truncated, shifts, order)
+    interpolated = dataclasses.replace(bracket, tail=0.0).upper(field) / (1.0 + kato._BRACKET_RTOL)
+    assert interpolated == pytest.approx(float(np.max(direct)), rel=1e-12)
+    residual = window_from_samples(Field(spec, window.field.samples - bracket.truncated.field.samples))
+    assert float(np.max(windowed_norms(field, residual, shifts, order))) <= bracket.tail * h_norm(field, bracket.plus)
+
+
+@pytest.mark.parametrize("n_samp, points", [(256, None), (504, None), (506, 253), (512, 256), (1024, 256)])
+def test_sup_bracket_takes_the_smallest_divisor_of_at_least_4j_plus_1(n_samp, points):
+    # 504 has no divisor in 253..503: M < 4J+1 samples do not fix g_J, so no bracket
+    bracket = kato._sup_bracket(multi_order(1.0, (1,)), default_window(make_grid(1, n_samp)))
+    assert (None if bracket is None else bracket.sub.scheme.points_per_axis) == points
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.0, 1.0, 2.0])
+@pytest.mark.parametrize("make_window", [default_window, narrow_window, squared_window])
+@pytest.mark.parametrize("n_samp", [512, 1024])
+def test_sup_bracket_holds_the_full_grid_norm(n_samp, make_window, s):
+    spec = make_grid(1, n_samp)
+    order = multi_order(s, (1,))
+    window = make_window(spec)
+    u = critical_field(spec, n_samp // 2 - 1, s)
+    assert_bracket_holds(u, order, window)
+    assert_bracket_holds(mollify(u, make_mollifier(spec, 0.1)), order, window)
+
+
+@pytest.mark.parametrize("blocks, s", [((2,), (1.0,)), ((1, 1), (-0.5, 2.0))])
+@pytest.mark.parametrize("factored", [True, False])
+def test_sup_bracket_holds_the_full_grid_norm_in_2d(monkeypatch, blocks, s, factored):
+    # J = 3 puts the bracket on M = 16 of N = 32 and cuts the box |j_l| <= 3 on both axes
+    monkeypatch.setattr(kato, "_BRACKET_J", 3)
+    spec = make_grid(2, 32, blocks=blocks)
+    window = default_window(spec)
+    window = window if factored else window_from_samples(window.field)
+    assert kato._sup_bracket(multi_order(s, blocks), window).sub.scheme.points_per_axis == 16
+    assert_bracket_holds(critical_field(spec, 15), multi_order(s, blocks), window)
+
+
+def test_sup_bracket_tail_weighs_negative_orders_by_one():
+    # a window modulated at frequency 100 has its tail at +-100; times the plane
+    # wave at -100 it lands on frequency 0, where <<xi>>^{-1/2} = 1: a tail that
+    # weighed <<xi_j>>^{-1/2} < 1/8 there would miss it
+    spec = make_grid(1, 512)
+    (x,) = coordinate_axes(spec)
+    modulation = 1.0 + 0.5 * np.cos(2.0 * math.pi * 100 * x / spec.period)
+    window = window_from_samples(Field(spec, default_window(spec).field.samples * modulation))
+    assert_bracket_holds(plane_wave(spec, -100), multi_order(-0.5, (1,)), window)
+
+
+def test_sup_bracket_needs_its_tail_term():
+    # on a narrow window chi_J alone misses the norm: the interpolated max
+    # of sqrt(g_J) is 2.263 where the full-grid norm is 2.464; with T the
+    # upper end is 38.9, which decides no Young check
+    spec = make_grid(1, 1024)
+    order = multi_order(1.0, (1,))
+    window = narrow_window(spec)
+    u = critical_field(spec, 500)
+    bracket = kato._sup_bracket(order, window)
+    full = kato_norm(u, amalgam_spec(order, math.inf, window))
+    assert dataclasses.replace(bracket, tail=0.0).upper(u) < full <= bracket.upper(u)
+    assert (full, bracket.upper(u)) == (pytest.approx(2.4641, abs=1e-4), pytest.approx(38.89, abs=1e-2))
+
+
+def full_grid_sup_calls(monkeypatch):
+    """The fields whose full-grid p = inf norm `kato` takes from now on."""
+    calls = []
+    original = kato.kato_norm
+
+    def spy(field, norm_spec):
+        if math.isinf(norm_spec.p) and norm_spec.scheme == ContinuousScheme():
+            calls.append(field)
+        return original(field, norm_spec)
+
+    monkeypatch.setattr(kato, "kato_norm", spy)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_rate_young_check_falls_back_when_the_bracket_cannot_decide(monkeypatch):
+    # a smoothing that changes nothing has upper(u) > lower(u): the full-grid
+    # norms decide, u's taken once, and u's norm does not exceed itself
+    spec = make_grid(1, 1024)
+    order = multi_order(1.0, (1,))
+    u = critical_field(spec, 500)
+    calls = full_grid_sup_calls(monkeypatch)
+    monkeypatch.setattr(kato, "mollify", lambda field, moll: field)
+    assert mollifier_rate_check(u, order, order, [0.4, 0.2], window=default_window(spec)).young_ok
+    assert len(calls) == 3
+
+
+def test_rate_young_check_fails_through_the_fallback(monkeypatch):
+    # smoothing leaves a constant as it is; 1.001 times that raises its norm,
+    # which only the fallback can see
+    spec = make_grid(1, 1024)
+    order = multi_order(1.0, (1,))
+    original = kato.mollify
+    monkeypatch.setattr(kato, "mollify", lambda field, moll: Field(spec, 1.001 * original(field, moll).samples))
+    calls = full_grid_sup_calls(monkeypatch)
+    assert not mollifier_rate_check(constant_field(spec), order, order, [0.4, 0.2], window=default_window(spec)).young_ok
+    assert len(calls) == 3
