@@ -114,18 +114,20 @@ class DiscComplement:
 
 @dataclass(frozen=True, eq=False)
 class GenericDomain:
-    """Membership predicate only; distances found by radial bisection.
+    """Membership predicate only; distances found by a radial march.
 
-    For each point a fan of DIRECTIONS directions is scanned for the
-    nearest boundary crossing (bisected to RADIAL_TOL), then the best
-    direction is refined by REFINE_ROUNDS parabolic steps in the angle.
-    Accurate to ~1e-6 for smooth star-shaped complements; `reach` caps the
-    search radius.
+    From each point a fan of DIRECTIONS rays marches out in steps of
+    reach/256 to its first point outside the domain, so a ray sees any
+    complement, bounded or not, spanning more than one step along it;
+    that step is bisected to RADIAL_TOL, and the nearest direction refined
+    by REFINE_ROUNDS parabolic steps in the angle.  Accurate to ~1e-6 for
+    smooth boundaries; `reach` caps the search radius.
     """
 
     DIRECTIONS = 128
     RADIAL_TOL = 1e-8
     REFINE_ROUNDS = 3
+    _MARCH_STEPS = 256
 
     test: Callable[[np.ndarray], np.ndarray]
     reach: float = 64.0
@@ -139,16 +141,19 @@ class GenericDomain:
 
     def _radial_crossing(self, z: np.ndarray, phase: np.ndarray) -> np.ndarray:
         """Distance along e^{i phase} to the first exit, capped at reach."""
-        lo = np.zeros(z.shape, dtype=float)
-        hi = np.full(z.shape, self.reach, dtype=float)
-        outside_at_reach = ~self.contains(z + hi * phase)
-        steps = int(math.ceil(math.log2(self.reach / self.RADIAL_TOL)))
-        for _ in range(steps):
+        step = self.reach / self._MARCH_STEPS
+        hi = np.full(z.shape, self.reach)
+        searching = np.ones(z.shape, dtype=bool)
+        for k in range(1, self._MARCH_STEPS + 1):
+            exits = searching & ~self.contains(z + k * step * phase)
+            hi[exits] = k * step
+            searching &= ~exits
+        lo = hi - step
+        for _ in range(int(math.ceil(math.log2(step / self.RADIAL_TOL)))):
             mid = 0.5 * (lo + hi)
             inside = self.contains(z + mid * phase)
-            lo = np.where(inside & outside_at_reach, mid, lo)
-            hi = np.where(inside & outside_at_reach, hi, np.where(outside_at_reach, mid, hi))
-        return np.where(outside_at_reach, 0.5 * (lo + hi), self.reach)
+            lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+        return np.where(searching, self.reach, 0.5 * (lo + hi))
 
     def complement_distance(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)

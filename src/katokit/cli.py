@@ -474,6 +474,14 @@ def _require_p_two(p_values: list) -> None:
         raise HypothesisError(f"option 'p_values' must include 2, which the stability case follows; got {p_values!r}")
 
 
+def _require_ordered(name: str, value) -> None:
+    """Refuse a bound that is not > 0, or a bracket (lo, hi) that is not 0 < lo < hi: no ratio
+    passes a bound of 0 or less or a bracket out of order, and a lower end of 0 or less tests nothing."""
+    rule, ends = ("0 < lo < hi", value) if isinstance(value, tuple) else ("> 0", (value,))
+    if not all(a < b for a, b in zip((0.0, *ends), ends)):
+        raise HypothesisError(f"option {name!r} must be {rule}; got {value!r}")
+
+
 def _require_refinement(name: str, values: list) -> None:
     """Refuse a sweep with one size, whose refinement case compares it with itself."""
     if len(set(values)) < 2:
@@ -489,6 +497,7 @@ def _suite_window_independence(
 ):
     _require_p_two(p_values)
     _require_refinement("resolutions", resolutions)
+    _require_ordered("bracket", bracket)
     order = multi_order(1.0, (1,))
     samples = spectral_ensemble(_child(seed, 0), count, 1, kmax=20)
     cases = []
@@ -533,6 +542,7 @@ def _suite_embedding_chain(seed: int, *, samples_per_axis=128, count=10, p_value
 
 @_suite("kato-product", "windowed norms of products obey the split-order bound with the explicit reference constant")
 def _suite_kato_product(seed: int, *, samples_per_axis=128, count=10, slack=1.05):
+    _require_ordered("slack", slack)
     spec = make_grid(1, samples_per_axis)
     pairs = list(zip(_fields(seed, 0, count, spec), _fields(seed, 1, count, spec)))
     params = sigma_params((1.0,), (1.0,), (0.25,), (1,))
@@ -552,7 +562,7 @@ def _suite_retraction(seed: int, *, resolutions=[128, 256], count=8, cells_per_a
         part = build_partition(spec, cells_per_axis)
         reps = [retraction_roundtrip(u, part, order, tol=tol) for u in _fields(seed, n_res, count, spec)]
         worst = _worst(r.roundtrip_sup_err for r in reps)
-        ratio = _worst(r.section_norm / max(r.reference_norm, 1e-300) for r in reps)
+        ratio = _worst(r.section_ratio for r in reps)
         label = f"section reassembly at {n_res} samples, {count} fields"
         cases.append(_case(label, _verdict(all(r.passed for r in reps)), max_roundtrip_sup_err=worst, max_section_ratio=ratio))
     return cases, {}
@@ -1077,13 +1087,11 @@ def cmd_compute(args) -> int:
     tau = 0.5 if args.tau is None else args.tau
 
     order = None
-    if args.order is not None:
-        values = [_parse_number(v, "--order") for v in args.order.split(",")]
+    if "order" in _COMPUTE_OPTIONS[kind]:
+        values = [_parse_number(v, "--order") for v in ("1" if args.order is None else args.order).split(",")]
         if len(values) == 1:
             values = values * len(spec.blocks)
         order = multi_order(values, spec.blocks)
-    elif kind in ("h-norm", "kato-norm"):
-        order = multi_order([1.0] * len(spec.blocks), spec.blocks)
 
     if kind == "l2":
         value = l2_norm(field)
@@ -1127,7 +1135,7 @@ def cmd_compute(args) -> int:
             "parameters": {
                 "order": None if order is None else list(order.s),
                 "p": _fmt_p(p) if "p" in _COMPUTE_OPTIONS[kind] else None,
-                "tau": tau if kind == "schatten" else None,
+                "tau": tau if "tau" in _COMPUTE_OPTIONS[kind] else None,
             },
         }
         _write_json(Path(args.json), payload)
@@ -1171,21 +1179,11 @@ def _read_report(path: Path) -> dict | None:
     return payload
 
 
-_NUMERIC_HINTS = (
-    "max_ratio",
-    "max_err",
-    "max_rel_err",
-    "max_gap",
-    "max_rel_gap",
-    "max_sup_err",
-    "residual",
-    "drift",
-    "pointwise_error",
-    "median_slope",
-    "roundtrip_sup_err",
-    "max_roundtrip_sup_err",
-    "tail_fraction",
-)
+def _shown(value) -> str:
+    """A stored value as `report` prints it: a number as .6g, a list element by element."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    return f"{value:.6g}" if isinstance(value, (int, float)) else str(value)
 
 
 def cmd_report(args) -> int:
@@ -1195,12 +1193,7 @@ def cmd_report(args) -> int:
         print(f"{report.get('suite', '?'):24s} {verdict}")
         print(f"  claim: {report.get('claim', '')}")
         for case in report.get("cases", []):
-            detail = ""
-            for key in _NUMERIC_HINTS:
-                if key in case:
-                    value = case[key]
-                    detail = f"  [{key}={value:.6g}]" if isinstance(value, (int, float)) else f"  [{key}={value}]"
-                    break
+            detail = "".join(f"  [{key}={_shown(value)}]" for key, value in case.items() if key not in ("label", "verdict"))
             print(f"  - {case.get('verdict', '?'):12s} {case.get('label', '')}{detail}")
     if args.csv:
         cases = [{"suite": r.get("suite", "?"), **case} for r in reports for case in r.get("cases", [])]

@@ -47,16 +47,27 @@ from .grid import (
     _lattice_fold,
     axis_bump_values,
     coordinate_axes,
+    from_spectrum,
     gather_translates,
     lattice_shifts,
     make_mollifier,
     mollify,
     require_finite,
+    to_spectrum,
     translates,
     window_from_factors,
     window_from_samples,
 )
-from .sobolev import PartitionOfUnity, _check_order, _lattice_pieces, _schur_constant, h_norm, weight_mesh
+from .sobolev import (
+    PartitionOfUnity,
+    _check_order,
+    _lattice_pieces,
+    _schur_constant,
+    h_norm,
+    lattice_decomposition_ratio,
+    periodic_multiplier_constant,
+    weight_mesh,
+)
 from .weights import MultiOrder, SigmaParams
 
 __all__ = [
@@ -504,8 +515,7 @@ def make_retraction_window(partition: PartitionOfUnity) -> Window:
 @dataclass(frozen=True)
 class RetractionReport:
     roundtrip_sup_err: float
-    section_norm: float
-    reference_norm: float
+    section_ratio: float
     passed: bool
 
 
@@ -519,26 +529,16 @@ def retraction_roundtrip(
 
     S u = ((tau_k h) u)_k over lattice points k, R_chi((u_k)) =
     sum_k (tau_k chi) u_k with chi = 1 near supp h, so chi h = h and the
-    composition telescopes through sum_k tau_k h = 1.
+    composition telescopes through sum_k tau_k h = 1.  The section quotient
+    (sum_k ||S_k u||_s^2)^{1/2} / ||u||_s is `lattice_decomposition_ratio`.
     """
-    pieces = _lattice_pieces(field, partition)
     chi = make_retraction_window(partition)
-    spec = field.spec
-    assembled = np.zeros(spec.shape, dtype=np.complex128)
-    norms_p: list[float] = []
-    for y, piece in pieces:
+    assembled = np.zeros(field.spec.shape, dtype=np.complex128)
+    for y, piece in _lattice_pieces(field, partition):
         assembled += translates(chi.field.samples, y) * piece
-        norms_p.append(h_norm(Field(spec, piece), order))
     err = float(np.max(np.abs(assembled - field.samples)))
-    section = float(np.sum(np.asarray(norms_p) ** 2.0) ** 0.5)
-    reference = h_norm(field, order)
     scale = max(float(np.max(np.abs(field.samples))), 1e-300)
-    return RetractionReport(
-        roundtrip_sup_err=err,
-        section_norm=section,
-        reference_norm=reference,
-        passed=err <= tol * scale,
-    )
+    return RetractionReport(err, lattice_decomposition_ratio(field, partition, order), passed=err <= tol * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +585,12 @@ def _sup_bracket(order: MultiOrder, window: Window) -> _SupBracket | None:
     points = next((m for m in range(4 * _BRACKET_J + 1, n_samp) if n_samp % m == 0), None)
     if points is None:
         return None
-    box = math.prod(np.meshgrid(*[np.abs(np.fft.fftfreq(n_samp, 1.0 / n_samp)) <= _BRACKET_J] * spec.dim, sparse=True))
-    truncated = np.fft.ifftn(box * np.fft.fftn(window.field.samples, norm="forward"), norm="forward")
+    box = np.zeros(spec.shape)
+    box[np.ix_(*[np.r_[: _BRACKET_J + 1, -_BRACKET_J : 0]] * spec.dim)] = 1.0  # |j_l| <= J
+    truncated = from_spectrum(spec, box * to_spectrum(window.field)).samples
     truncated = truncated if np.any(window.field.samples.imag) else truncated.real
     plus = MultiOrder(tuple(max(s, 0.0) for s in order.s), order.blocks)
-    residual = np.abs(np.fft.fftn(window.field.samples - truncated, norm="forward"))
-    tail = 2.0 ** (0.5 * sum(plus.s)) * float(np.sum(residual * weight_mesh(spec, plus)))
+    tail = periodic_multiplier_constant(Field(spec, window.field.samples - truncated), plus)
     sub = amalgam_spec(order, math.inf, window, ContinuousScheme(points))
     return _SupBracket(sub, window_from_samples(Field(spec, truncated)), plus, tail)
 
@@ -602,7 +602,6 @@ class MollifierRateReport:
     bounds: tuple[float, ...]
     bound_ok: bool
     young_ok: bool
-    slope: float
     slope_target: float
 
 
@@ -620,8 +619,8 @@ def mollifier_rate_check(
     theta = min(s - s', 1) taken blockwise-minimal, and the Young bound
     ||phi_eps * u||_{s,sup,chi} <= ||u||_{s,sup,chi}, whose constant is the
     kernel's mass: 1, since `mollifier_kernel` renormalizes the positive
-    kernel phi_eps to unit discrete mass on the field's grid.  Fits the
-    log-log slope of the error against epsilon; a zero field is refused.
+    kernel phi_eps to unit discrete mass on the field's grid.  The rate is
+    fitted over an ensemble, by the caller; a zero field is refused.
     Each Young check goes first to the `_sup_bracket` of M^n transforms a
     side, when N has a divisor M >= 4J+1 below it, and falls back to the two
     full-grid norms when the bracket leaves it open, so every verdict is theirs.
@@ -656,15 +655,11 @@ def mollifier_rate_check(
         if not kato_norm(smoothed, sup_spec) <= u_ul * (1.0 + 1e-10):
             young_ok = False
     bound_ok = all(e <= b * (1.0 + 1e-10) for e, b in zip(errors, bounds))
-    logs_e = np.log(np.asarray(errors))
-    logs_x = np.log(np.asarray([float(e) for e in epsilons]))
-    slope = float(np.polyfit(logs_x, logs_e, 1)[0])
     return MollifierRateReport(
         epsilons=tuple(float(e) for e in epsilons),
         errors=tuple(errors),
         bounds=tuple(bounds),
         bound_ok=bound_ok,
         young_ok=young_ok,
-        slope=slope,
         slope_target=theta,
     )

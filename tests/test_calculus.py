@@ -108,6 +108,22 @@ def test_generic_domain_distance_vs_dense_boundary_oracle():
         assert d == pytest.approx(want, abs=1e-5)
 
 
+def test_generic_domain_finds_a_bounded_complement():
+    # the complement of |z| > 1 is the unit disc and that of |z - 2| > 0.5 a
+    # disc around the pole; neither holds a ray's end point at reach, so only
+    # a march out from the point meets them
+    outside_unit = GenericDomain(lambda z: np.abs(z) > 1.0, reach=8.0)
+    got = outside_unit.complement_distance(np.array([2.0, 3j, -1.5]))
+    np.testing.assert_allclose(got, [1.0, 2.0, 0.5], rtol=0.0, atol=1e-5)
+    pole = GenericDomain(lambda z: np.abs(z - 2.0) > 0.5, reach=8.0)
+    assert pole.complement_distance(np.array([0.0]))[0] == pytest.approx(1.5, abs=1e-5)
+    # through a function on that domain: the range [0.2, 0.8] lies 0.7 from the disc
+    fn = HoloFn(1, lambda z: 1.0 / (z[0] - 2.0), (pole,), (lambda z: -1.0 / (z[0] - 2.0) ** 2,))
+    spec = make_grid(1, N)
+    u = field_from_values(spec, 0.5 + 0.3 * np.cos(np.asarray(coordinate_axes(spec)[0])))
+    assert range_distance([u], fn.domain) == pytest.approx(0.7, abs=1e-5)
+
+
 @pytest.mark.parametrize("reach", [0.0, -1.0, math.nan, math.inf])
 def test_generic_domain_refuses_a_reach_it_cannot_search(reach):
     # refused when made, not at the first distance with a bare math error

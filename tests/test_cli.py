@@ -341,6 +341,8 @@ def test_verify_all_keeps_the_other_suites(tmp_path, capsys, monkeypatch, order)
         ("schatten", {"resolutions": [16]}, "resolutions"),
         ("schatten", {"resolutions": [16, 16]}, "resolutions"),
         ("schatten", {"bound_resolutions": [32]}, "bound_resolutions"),
+        ("kato-product", {"slack": 0.0}, "slack"),
+        ("window-independence", {"bracket": [50.0, 0.02]}, "bracket"),
     ],
 )
 def test_verify_all_lists_a_suite_its_options_cannot_run(tmp_path, capsys, monkeypatch, suite, overrides, named):
@@ -668,6 +670,27 @@ def test_report_renders_pass_lines(tmp_path, capsys):
     rc = main(["report", str(out / "peetre.json")])
     assert rc == 0
     assert "SKIPPED" in capsys.readouterr().out
+
+
+def test_report_prints_every_value_a_case_stores(tmp_path, capsys):
+    # each case line holds each key of its case but the label and verdict, a number as .6g
+    out = tmp_path / "rep"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"suites": {"window-independence": {"count": 2}}}))
+    for suite in ("twisted-periodization", "window-independence"):
+        assert main(["verify", suite, "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["report", str(out)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  - ")]
+    names = ("twisted-periodization", "window-independence")
+    cases = [case for name in names for case in json.loads((out / f"{name}.json").read_text())["cases"]]
+    assert len(lines) == len(cases) == 3 + 7
+    for line, case in zip(lines, cases):
+        assert case["label"] in line
+        values = {key: value for key, value in case.items() if key not in ("label", "verdict")}
+        assert values
+        for key, value in values.items():
+            assert f"[{key}={value:.6g}]" in line
 
 
 def test_report_csv_and_epsilon_sweep_monotone(tmp_path, capsys):

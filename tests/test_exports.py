@@ -169,3 +169,29 @@ def test_only_the_grid_spec_reads_the_size_limits():
 
     path = Path(katokit.__file__).resolve().parent / "grid.py"
     assert _scopes_holding(path, reads_limit) == ["GridSpec.__post_init__"]
+
+
+def test_the_rate_is_fitted_once():
+    # the suite fits each field's rate over the epsilons it keeps; no library report fits another
+    def fits(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "polyfit"
+
+    found = {path.name: _scopes_holding(path, fits) for path in SOURCES}
+    assert {name: scopes for name, scopes in found.items() if scopes} == {"cli.py": ["_suite_mollifier_rate"]}
+
+
+def test_the_retraction_reads_the_section_quotient_from_the_library():
+    # the section norms are `lattice_decomposition_ratio`'s, not a second sum of piece norms
+    path = Path(katokit.__file__).resolve().parent / "kato.py"
+    assert "retraction_roundtrip" not in _calls_by_function(path, "h_norm")
+    assert "retraction_roundtrip" in _calls_by_function(path, "lattice_decomposition_ratio")
+
+
+def test_the_sup_bracket_takes_its_tail_from_the_library():
+    # the tail is `periodic_multiplier_constant` and chi_J goes through the spectrum pair
+    def fft_call(node):
+        return isinstance(node, ast.Attribute) and getattr(node.value, "attr", None) == "fft"
+
+    path = Path(katokit.__file__).resolve().parent / "kato.py"
+    assert "_sup_bracket" in _calls_by_function(path, "periodic_multiplier_constant")
+    assert "_sup_bracket" not in _scopes_holding(path, fft_call)
